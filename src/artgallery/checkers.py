@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from artgallery.rational import Q, rat, rationalize
 from artgallery.gallery import Gallery, PinchedGallery, SkeletalGallery, as_polygon
@@ -960,24 +960,31 @@ def search_counterexample(generator, cfg: Optional[CheckConfig] = None,
                           budget: int = 100, seed: int = 0, **gen_kwargs) -> List[TheoremReport]:
     """Seeded fuzzing loop: generate, check, collect. Reports carry their
     generation seed so any run reproduces standalone."""
+    return list(iter_counterexamples(generator, cfg, budget, seed, **gen_kwargs))
+
+
+def iter_counterexamples(generator, cfg: Optional[CheckConfig] = None,
+                         budget: int = 100, seed: int = 0, **gen_kwargs) -> Iterator[TheoremReport]:
+    """The reports of :func:`search_counterexample`, each checked as it is drawn."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     cfg = cfg or CheckConfig(theorem="classic")
+    if cfg.theorem == "classic":
+        check = check_classic
+    elif cfg.theorem in QUANT_FAMILIES or cfg.family in QUANT_FAMILIES:
+        check = check_quantitative
+    else:
+        raise ValueError(f"fuzzing not wired for theorem {cfg.theorem!r}")
     make = _generator(generator) if isinstance(generator, str) else generator
-    reports: List[TheoremReport] = []
-    for i in range(budget):
+
+    def run(i):
         # one flat integer per run so a report reproduces standalone
         run_seed = seed * 1000003 + i
         gallery = make(run_seed, **gen_kwargs) if isinstance(generator, str) else make(run_seed)
-        if cfg.theorem == "classic":
-            rep = check_classic(gallery, cfg=cfg)
-        elif cfg.theorem in QUANT_FAMILIES:
-            rep = check_quantitative(gallery, cfg=cfg)
-        else:
-            raise ValueError(f"fuzzing not wired for theorem {cfg.theorem!r}")
-        rep = replace(rep, reproduction=(("generator", str(generator)), ("seed", run_seed)))
-        reports.append(rep)
-    return reports
+        rep = check(gallery, cfg=cfg)
+        return replace(rep, reproduction=(("generator", str(generator)), ("seed", run_seed)))
+
+    return (run(i) for i in range(budget))
 
 
 def violation_candidates(reports: Sequence[TheoremReport]) -> List[TheoremReport]:

@@ -15,7 +15,7 @@ import json
 from dataclasses import asdict
 from typing import Optional
 
-from artgallery.rational import rat
+from artgallery.rational import fmt, rat
 from artgallery.gallery import Gallery, PinchedGallery, SkeletalGallery, as_polygon
 from artgallery.geom.primitives import Point2
 from artgallery.geom.polygon import PolygonWithHoles, Region
@@ -29,15 +29,11 @@ class DocumentError(ValueError):
     pass
 
 
-def _num(value) -> str:
-    return str(rat(value))
-
-
 def _scalar(value):
     """Exact rationals as "p/q" strings, floats as native JSON numbers."""
     if isinstance(value, float):
         return float(value)
-    return _num(value)
+    return fmt(value)
 
 
 def _parse_scalar(value):
@@ -45,7 +41,7 @@ def _parse_scalar(value):
 
 
 def _point(p) -> list:
-    return [_num(p[0]), _num(p[1])]
+    return [fmt(p[0]), fmt(p[1])]
 
 
 def _parse_point(obj) -> Point2:
@@ -173,8 +169,8 @@ def shape_to_document(shape) -> dict:
     if isinstance(shape, inscribe.Box2):
         return {
             "type": "box",
-            "x": _num(shape.x), "y": _num(shape.y),
-            "w": _num(shape.w), "h": _num(shape.h),
+            "x": fmt(shape.x), "y": fmt(shape.y),
+            "w": fmt(shape.w), "h": fmt(shape.h),
         }
     if isinstance(shape, inscribe.Ellipse):
         return {
@@ -186,7 +182,7 @@ def shape_to_document(shape) -> dict:
         return {
             "type": "segment",
             "a": _point(shape.a), "b": _point(shape.b),
-            "value": _num(shape.value), "certified": shape.certified,
+            "value": fmt(shape.value), "certified": shape.certified,
         }
     if isinstance(shape, ConvexPolygon):
         return {"type": "polygon", "vertices": _ring(shape.vertices)}
@@ -194,7 +190,7 @@ def shape_to_document(shape) -> dict:
         reg = shape if isinstance(shape, Region) else Region((shape,))
         return {"type": "region", "region": region_to_document(reg)}
     if isinstance(shape, tuple) and len(shape) == 2 and isinstance(shape[0], str):
-        return {"type": "value", "label": shape[0], "value": _num(shape[1])}
+        return {"type": "value", "label": shape[0], "value": fmt(shape[1])}
     if hasattr(shape, "full") and hasattr(shape, "gallery"):  # pinched visibility
         return {
             "type": "pinched-visibility",
@@ -235,7 +231,7 @@ def _config_doc(cfg) -> Optional[dict]:
         return None
     d = asdict(cfg)
     if d.get("threshold") is not None:
-        d["threshold"] = _num(d["threshold"])
+        d["threshold"] = fmt(d["threshold"])
     d["direction"] = _point(
         Point2(rat(cfg.direction[0]), rat(cfg.direction[1]))
     )
@@ -276,11 +272,11 @@ def spiked_params_to_document(params) -> dict:
         "M": params.M,
         "Mp": params.Mp,
         "disc_poly_verts": params.disc_poly_verts,
-        "m": _num(params.m),
-        "eps": _num(params.eps),
-        "delta": _num(params.delta),
+        "m": fmt(params.m),
+        "eps": fmt(params.eps),
+        "delta": fmt(params.delta),
         "S": list(params.S),
-        "scale": _num(params.scale),
+        "scale": fmt(params.scale),
         "tips": [_point(p) for p in params.tips],
-        "kernel_area_prescale": _num(params.kernel_area_prescale),
+        "kernel_area_prescale": fmt(params.kernel_area_prescale),
     }

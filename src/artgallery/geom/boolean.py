@@ -5,9 +5,12 @@ The implementation builds the overlay arrangement of both boundaries:
   1. split every boundary segment at every intersection with every other
      boundary segment (crossing points and collinear-overlap endpoints),
   2. deduplicate identical subsegments,
-  3. classify both sides of each subsegment against both operands by exact
-     one-sided sampling (first-gap midpoints along the perpendicular ray, so
-     the sample never lands on a boundary),
+  3. classify both sides of each subsegment by the edges that cover it.
+     Rings keep their interior on the left (outer CCW, holes CW), so an
+     operand's edge along the subsegment puts that operand on its left side
+     and one against it on its right side. An operand with no edge there
+     misses the open subsegment (step 1 cut every contact), so one exact
+     location of the midpoint decides both of its sides,
   4. keep edges whose sides disagree under the requested operation, oriented
      with the result interior on the left,
   5. link darts into rings (sharpest-left-turn rule) and nest rings into
@@ -19,17 +22,16 @@ that touch only along boundaries stay separate components.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from artgallery.rational import rat
 from artgallery.geom.primitives import Point2, cross, segments_intersect
 from artgallery.geom.polygon import (
     PolygonWithHoles,
     Region,
     SimplePolygon,
     as_region,
+    locate_in_region,
     locate_in_ring,
-    point_in_region,
     ring_edges,
     ring_signed_area,
 )
@@ -45,27 +47,45 @@ def _combine(op: str, in1: bool, in2: bool) -> bool:
     return in1 and not in2
 
 
-def _boundary_edges(region: Region):
-    for ring in region.rings():
-        yield from ring_edges(ring)
+_FWD, _REV = 1, 2  # cover bits: an operand edge runs along / against a key
 
 
-def _split_all(edges: List[Tuple[Point2, Point2]]):
-    """Split segments at all pairwise intersections; return deduped subsegments."""
+def _split_all(edges):
+    """Split segments at all pairwise intersections; return deduped subsegments.
+
+    ``edges`` holds ``(a, b, k)`` with k the operand index. The result maps
+    each subsegment key ``(u, v)``, u < v, in first-seen order, to one cover
+    mask per operand: _FWD if an edge of k runs u -> v over it, _REV if one
+    runs v -> u (both where two components of k touch along it). Edges are
+    swept by left box side; pairs with disjoint closed boxes are skipped.
+    """
+    boxes = [
+        (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
+        for a, b, _ in edges
+    ]
+    order = sorted(range(len(edges)), key=lambda i: boxes[i][0])
     cuts: List[List[Point2]] = [[] for _ in edges]
-    for i in range(len(edges)):
-        a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
+    for pos, i in enumerate(order):
+        a, b, _ = edges[i]
+        _, xhi, ylo, yhi = boxes[i]
+        for j in order[pos + 1 :]:
+            xlo_j, _, ylo_j, yhi_j = boxes[j]
+            if xlo_j > xhi:
+                break
+            if ylo_j > yhi or yhi_j < ylo:
+                continue
+            c, d, _ = edges[j]
+            other = d if c in (a, b) else c if d in (a, b) else None
+            if other is not None and cross(a, b, other) != 0:
+                continue  # not collinear: they meet only at the shared endpoint
             hit = segments_intersect(a, b, c, d)
             if hit is None:
                 continue
             pts = hit[1:] if hit[0] == "overlap" else (hit[1],)
-            for p in pts:
-                cuts[i].append(p)
-                cuts[j].append(p)
-    out = {}
-    for (a, b), extra in zip(edges, cuts):
+            cuts[i].extend(pts)
+            cuts[j].extend(pts)
+    out: Dict[Tuple[Point2, Point2], List[int]] = {}
+    for (a, b, k), extra in zip(edges, cuts):
         dx, dy = b[0] - a[0], b[1] - a[1]
         if dx == 0 and dy == 0:
             continue
@@ -75,35 +95,19 @@ def _split_all(edges: List[Tuple[Point2, Point2]]):
 
         pts = sorted({a, b, *extra}, key=param)
         for u, v in zip(pts, pts[1:]):
-            key = (u, v) if (u[0], u[1]) <= (v[0], v[1]) else (v, u)
-            out[key] = True
-    return list(out.keys())
+            key, bit = ((u, v), _FWD) if u <= v else ((v, u), _REV)
+            out.setdefault(key, [0, 0])[k] |= bit
+    return out
 
 
-def _ray_first_hit(origin, direction, edges):
-    """Smallest positive ray parameter touching any edge, or None."""
-    ox, oy = origin
-    dx, dy = direction
-    best = None
-    for a, b in edges:
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        denom = dx * ey - dy * ex
-        wx, wy = a[0] - ox, a[1] - oy
-        if denom != 0:
-            t = (wx * ey - wy * ex) / denom
-            s = (wx * dy - wy * dx) / denom
-            # origin + t*dir == a + s*(b-a); s in [0,1] on the edge
-            if 0 <= s <= 1 and t > 0 and (best is None or t < best):
-                best = t
-        else:
-            if wx * dy - wy * dx != 0:
-                continue  # parallel, not collinear
-            dd = dx * dx + dy * dy
-            for p in (a, b):
-                t = ((p[0] - ox) * dx + (p[1] - oy) * dy) / dd
-                if t > 0 and (best is None or t < best):
-                    best = t
-    return best
+def _sides_in(region, cover, a, b):
+    """Whether the left and the right side of subsegment a -> b lie in region."""
+    if cover:
+        return bool(cover & _FWD), bool(cover & _REV)
+    where = locate_in_region(Point2((a[0] + b[0]) / 2, (a[1] + b[1]) / 2), region)
+    if where == "on":
+        raise RuntimeError("overlay invariant broken: uncovered subsegment meets a boundary")
+    return where == "in", where == "in"
 
 
 def _trace_rings(darts):
@@ -220,25 +224,20 @@ def region_boolean(op: str, r1, r2) -> Region:
     if r2.is_empty():
         return Region.empty() if op == "intersect" else _canonical(r1)
 
-    edges = list(_boundary_edges(r1)) + list(_boundary_edges(r2))
-    sub = _split_all(edges)
-
+    edges = [(a, b, k) for k, r in enumerate((r1, r2)) for a, b in r.boundary_edges()]
     darts = []
-    for a, b in sub:
-        mx, my = (a[0] + b[0]) / 2, (a[1] + b[1]) / 2
-        m = Point2(mx, my)
-        left = (-(b[1] - a[1]), b[0] - a[0])
-        sides = {}
-        for name, d in (("L", left), ("R", (-left[0], -left[1]))):
-            t1 = _ray_first_hit(m, d, sub)
-            t = (t1 / 2) if t1 is not None else rat(1)
-            q = Point2(mx + t * d[0], my + t * d[1])
-            sides[name] = _combine(op, point_in_region(q, r1), point_in_region(q, r2))
-        if sides["L"] and not sides["R"]:
+    for (a, b), (c1, c2) in _split_all(edges).items():
+        in1, in2 = _sides_in(r1, c1, a, b), _sides_in(r2, c2, a, b)
+        left, right = (_combine(op, in1[s], in2[s]) for s in (0, 1))
+        if left and not right:
             darts.append((a, b))
-        elif sides["R"] and not sides["L"]:
+        elif right and not left:
             darts.append((b, a))
+    return _region_from_darts(darts)
 
+
+def _region_from_darts(darts) -> Region:
+    """Trace interior-on-left darts into rings and nest them into a Region."""
     if not darts:
         return Region.empty()
 

@@ -9,6 +9,8 @@ semantics, so Fraction works as a drop-in fallback.
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 try:
@@ -44,10 +46,21 @@ def rat(value, denom=None):
     return Q(value)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse(text):
     if "/" in text:
         num, _, den = text.partition("/")
-        return Q(Fraction(num.strip())) / Q(Fraction(den.strip()))
+        return _parse_number(num.strip()) / _parse_number(den.strip())
+    return _parse_number(text)
+
+
+def _parse_number(text):
+    # Decimal reads integers exactly and, unlike int(), past Python's
+    # int/str digit limit (4,300 digits by default).
+    if _INTEGER.fullmatch(text):
+        return Q(int(Decimal(text)))
     return Q(Fraction(text))
 
 
@@ -65,9 +78,11 @@ def rationalize(value, max_denominator=10**9):
 
 
 def fmt(value) -> str:
-    """Serialize exactly: "p" for integers, "p/q" otherwise."""
+    """Serialize exactly: "p" for integers, "p/q" otherwise, at any size
+    (Decimal prints integers past Python's int/str digit limit)."""
     q = rat(value)
-    return str(q)
+    num, den = (str(Decimal(int(part))) for part in (q.numerator, q.denominator))
+    return num if den == "1" else f"{num}/{den}"
 
 
 def numden(value):

@@ -34,6 +34,23 @@ def test_fmt_round_trips():
         assert rat(fmt(rat(s))) == rat(s)
 
 
+def test_fmt_round_trips_past_the_int_str_digit_limit():
+    q = rat(-(2**25002 + 1), 3**9100)
+    text = fmt(q)
+    num, den = text.split("/")
+    assert len(num) > 7500 and len(den) > 4300
+
+    def digits_value(s):  # in chunks below the limit, independent of fmt
+        value = 0
+        for i in range(0, len(s), 1000):
+            value = value * 10 ** len(s[i : i + 1000]) + int(s[i : i + 1000])
+        return value
+
+    assert -digits_value(num[1:]) == q.numerator and digits_value(den) == q.denominator
+    assert rat(text) == q
+    assert rat(num) == q.numerator and rat(" " + den + " ") == q.denominator
+
+
 def test_numden():
     assert numden(rat("3/7")) == (3, 7)
     assert numden(rat(2)) == (2, 1)
