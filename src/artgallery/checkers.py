@@ -18,25 +18,13 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from artgallery.rational import Q, rat, rationalize
-from artgallery.gallery import Gallery, PinchedGallery, SkeletalGallery, as_polygon
-from artgallery.geom.primitives import Point2, cross, on_segment, pt
-from artgallery.geom.polygon import (
-    PolygonWithHoles,
-    Region,
-    area,
-    locate_in_polygon,
-    region_bbox,
-)
+from artgallery.rational import rat, rationalize
+from artgallery.gallery import Gallery
+from artgallery.geom.primitives import Point2, cross, pt
+from artgallery.geom.polygon import PolygonWithHoles, Region, as_region, region_bbox
 from artgallery.geom.convex import ConvexPolygon, HalfPlane
 from artgallery.geom.boolean import region_boolean
-from artgallery.kernel import kernel_halfplanes, kernel_simple
-from artgallery.visibility import (
-    common_visibility,
-    pinched_common_visibility,
-    skeletal_common_visibility,
-    visibility_polygon,
-)
+from artgallery.kernel import kernel_halfplanes
 from artgallery import inscribe
 
 
@@ -63,7 +51,7 @@ class CandidateSet:
     def from_points(gallery, points, tag: str = "user") -> "CandidateSet":
         pts = tuple(pt(p) for p in points)
         for p in pts:
-            if not gallery_contains(gallery, p):
+            if not gallery.contains(p):
                 raise ValueError(f"candidate {p} is not in the gallery")
         return CandidateSet(pts, (tag,) * len(pts))
 
@@ -78,96 +66,26 @@ class CandidateSet:
                 pts.append(p)
                 tags.append(tag)
 
-        for p, tag in _structural_candidates(gallery):
+        for p, tag in gallery.structural_points():
             add(p, tag)
         try:
             for p in gallery.class_points("tips"):
                 add(pt(p), "spike-tip")
-        except (KeyError, AttributeError):
+        except KeyError:
             pass
         rng = random.Random(f"candidates:{seed}")
-        for p in _random_candidates(gallery, rng, random_count):
+        for p in gallery.random_points(rng, random_count):
             add(p, f"random({seed})")
         for p in user_points:
             q = pt(p)
-            if not gallery_contains(gallery, q):
+            if not gallery.contains(q):
                 raise ValueError(f"candidate {q} is not in the gallery")
             add(q, "user")
         return CandidateSet(tuple(pts), tuple(tags))
 
 
 def gallery_contains(gallery, p: Point2) -> bool:
-    if isinstance(gallery, SkeletalGallery):
-        return any(on_segment(p, s.a, s.b) for s in gallery.segments)
-    if isinstance(gallery, PinchedGallery):
-        return gallery.contains(p)
-    return locate_in_polygon(p, as_polygon(gallery)) != "out"
-
-
-def _structural_candidates(gallery):
-    if isinstance(gallery, SkeletalGallery):
-        for s in gallery.segments:
-            yield s.a, "vertex"
-            yield s.b, "vertex"
-        for s in gallery.segments:
-            yield Point2((s.a[0] + s.b[0]) / 2, (s.a[1] + s.b[1]) / 2), "edge-midpoint"
-        return
-    if isinstance(gallery, PinchedGallery):
-        for comp in gallery.components:
-            for v in comp.vertices:
-                yield v, "vertex"
-        for comp in gallery.components:
-            for a, b in comp.edges():
-                yield Point2((a[0] + b[0]) / 2, (a[1] + b[1]) / 2), "edge-midpoint"
-        return
-    poly = as_polygon(gallery)
-    for ring in (poly.outer.vertices,) + tuple(h.vertices for h in poly.holes):
-        for v in ring:
-            yield v, "vertex"
-        n = len(ring)
-        for i in range(n):
-            a, b = ring[i], ring[(i + 1) % n]
-            yield Point2((a[0] + b[0]) / 2, (a[1] + b[1]) / 2), "edge-midpoint"
-
-
-def _random_candidates(gallery, rng: random.Random, count: int):
-    out: List[Point2] = []
-    if count <= 0:
-        return out
-    if isinstance(gallery, SkeletalGallery):
-        segs = gallery.segments
-        while len(out) < count:
-            s = segs[rng.randrange(len(segs))]
-            t = Q(rng.randrange(1, 2**20), 2**20)
-            out.append(Point2(s.a[0] + t * (s.b[0] - s.a[0]), s.a[1] + t * (s.b[1] - s.a[1])))
-        return out
-    if isinstance(gallery, PinchedGallery):
-        comps = gallery.components
-        budget = 200 * count
-        while len(out) < count and budget > 0:
-            budget -= 1
-            comp = comps[rng.randrange(len(comps))]
-            xs = [v[0] for v in comp.vertices]
-            ys = [v[1] for v in comp.vertices]
-            p = _random_bbox_point(rng, min(xs), min(ys), max(xs), max(ys))
-            if comp.contains(p):
-                out.append(p)
-        return out
-    poly = as_polygon(gallery)
-    (x0, y0), (x1, y1) = region_bbox(Region((poly,)))
-    budget = 500 * count
-    while len(out) < count and budget > 0:
-        budget -= 1
-        p = _random_bbox_point(rng, x0, y0, x1, y1)
-        if locate_in_polygon(p, poly) == "in":
-            out.append(p)
-    return out
-
-
-def _random_bbox_point(rng: random.Random, x0, y0, x1, y1) -> Point2:
-    tx = Q(rng.randrange(0, 2**20), 2**20)
-    ty = Q(rng.randrange(0, 2**20), 2**20)
-    return Point2(x0 + tx * (x1 - x0), y0 + ty * (y1 - y0))
+    return gallery.contains(p)
 
 
 # ---------------------------------------------------------------------------
@@ -287,69 +205,13 @@ def _classify(hyp: str, concl: str, preconditions_met: bool, certified_failure: 
 
 
 # ---------------------------------------------------------------------------
-# Common visibility / kernel dispatch over the three gallery kinds
-
-
-def _common_region(gallery, points, cache=None):
-    """Common visibility as (kind, payload); emptiness is exact for all kinds.
-
-    `cache` maps viewpoints to their visibility regions so enumeration over
-    many tuples computes each visibility polygon once.
-    """
-    if isinstance(gallery, SkeletalGallery):
-        lone, segs = skeletal_common_visibility(gallery, points)
-        return "skeletal", (lone, segs)
-    if isinstance(gallery, PinchedGallery):
-        return "pinched", pinched_common_visibility(gallery, points)
-    if cache is None:
-        return "region", common_visibility(gallery, points)
-    acc = None
-    for p in points:
-        vis = cache.get(p)
-        if vis is None:
-            vis = visibility_polygon(gallery, p).region
-            cache[p] = vis
-        acc = vis if acc is None else region_boolean("intersect", acc, vis)
-        if acc.is_empty():
-            break
-    return "region", acc
-
-
-def _common_is_empty(kind: str, payload) -> bool:
-    if kind == "skeletal":
-        lone, segs = payload
-        return not lone and not segs
-    if kind == "pinched":
-        return payload.is_empty()
-    return payload.is_empty()
+# Kernels
 
 
 def kernel_status(gallery):
-    """(verdict, witness, certified, qualifier) for "the kernel is nonempty".
-
-    All cases are decided exactly. A full-dimensional hole forces an empty
-    kernel: from any viewpoint the ray through a hole-interior point exits
-    the hole at a gallery point whose sight line is blocked by the hole.
-    """
-    if isinstance(gallery, PinchedGallery):
-        if len(gallery.components) == 1:
-            # single convex piece: every point sees everything
-            return "holds", gallery.components[0], True, None
-        # segments into a foreign component pass through one of its pinch
-        # points, so an outside viewer covers only finitely many rays of it;
-        # hence x sees a whole convex piece iff x belongs to it, and the
-        # kernel is the intersection of all components
-        for p in gallery.pinch_points():
-            if all(c.contains(p) for c in gallery.components):
-                return "holds", p, True, "kernel-single-point"
-        return "fails", None, True, None
-    poly = as_polygon(gallery)
-    if poly.holes:
-        return "fails", None, True, "hole-shadow"
-    kern = kernel_simple(poly)
-    if kern.is_empty():
-        return "fails", None, True, None
-    return "holds", kern, True, None
+    """(verdict, witness, certified, qualifier) for "the kernel is nonempty",
+    decided exactly; NotAreal for a skeletal gallery."""
+    return gallery.kernel_status()
 
 
 def halfplane_triple_empty(h1: HalfPlane, h2: HalfPlane, h3: HalfPlane) -> bool:
@@ -408,9 +270,7 @@ def check_classic(gallery, candidates: Optional[CandidateSet] = None,
                   cfg: Optional[CheckConfig] = None) -> TheoremReport:
     cfg = cfg or CheckConfig(theorem="classic")
     k = cfg.tuple_size()
-    name = getattr(gallery, "name", "") or type(gallery).__name__
-    if isinstance(gallery, SkeletalGallery):
-        raise TypeError("classic checker needs an areal gallery")
+    name = gallery.name or type(gallery).__name__
     if candidates is None:
         candidates = CandidateSet.default(
             gallery, seed=cfg.seed, random_count=cfg.random_candidates
@@ -420,8 +280,6 @@ def check_classic(gallery, candidates: Optional[CandidateSet] = None,
     qualifiers = (kq,) if kq else ()
     witnesses = (("kernel", witness),) if witness is not None else ()
 
-    hole_free = not isinstance(gallery, PinchedGallery) and not as_polygon(gallery).holes
-
     if concl == "holds" and certified:
         # every candidate tuple's common visibility contains the kernel
         cov = Coverage(0, _ncomb(len(candidates), k), fast_path="kernel-superset")
@@ -430,16 +288,15 @@ def check_classic(gallery, candidates: Optional[CandidateSet] = None,
             witnesses=witnesses, coverage=cov, qualifiers=qualifiers, config=cfg,
         )
 
-    if hole_free:
+    if isinstance(gallery, Gallery) and gallery.simply_connected:
         # empty kernel: Helly yields three edge half-planes with empty
         # intersection; visibility from an edge midpoint stays in the edge's
         # inner half-plane, so the three midpoints cannot see a common point
-        poly = as_polygon(gallery)
+        poly = gallery.polygon
         combo = _helly_violating_edges(poly)
         if combo is not None:
             triple = tuple(_edge_midpoint(poly, i) for i in combo)
-            kind, payload = _common_region(gallery, triple)
-            if not _common_is_empty(kind, payload):
+            if not gallery.common_visibility(triple).is_empty():
                 raise AssertionError("Helly certificate contradicts exact common visibility")
             cov = Coverage(1, _ncomb(len(candidates), k), fast_path="helly-edge-triple")
             return TheoremReport(
@@ -451,7 +308,7 @@ def check_classic(gallery, candidates: Optional[CandidateSet] = None,
     cache: dict = {}
     hyp, violating, cov = _enumerate_tuples(
         gallery, candidates.points, k, cfg.cap,
-        lambda tup: not _common_is_empty(*_common_region(gallery, tup, cache)),
+        lambda tup: not gallery.common_visibility(tup, cache).is_empty(),
     )
     classification = _classify(hyp, concl, True, certified)
     return TheoremReport(
@@ -493,15 +350,6 @@ class NotSimplyConnected(ValueError):
     pass
 
 
-def _is_simply_connected(gallery) -> bool:
-    if isinstance(gallery, SkeletalGallery):
-        return False  # segment unions contain cycles in general; treated as the
-        # paper's non-simply-connected counterexample setting
-    if isinstance(gallery, PinchedGallery):
-        return True
-    return not as_polygon(gallery).holes
-
-
 def check_colorful_plane(gallery, p1, p2, p3, cfg: Optional[CheckConfig] = None) -> TheoremReport:
     """Planar colorful theorem: three classes, simply connected K.
 
@@ -511,10 +359,9 @@ def check_colorful_plane(gallery, p1, p2, p3, cfg: Optional[CheckConfig] = None)
     CONSISTENT_WITH_CLAIM rather than as a violation.
     """
     cfg = cfg or CheckConfig(theorem="colorful-plane")
-    name = getattr(gallery, "name", "") or type(gallery).__name__
-    if not isinstance(gallery, (PinchedGallery, SkeletalGallery)):
-        if as_polygon(gallery).holes:
-            raise NotSimplyConnected("colorful-plane requires a simply connected gallery")
+    name = gallery.name or type(gallery).__name__
+    if isinstance(gallery, Gallery) and not gallery.simply_connected:
+        raise NotSimplyConnected("colorful-plane requires a simply connected gallery")
 
     classes = []
     for cls in (p1, p2, p3):
@@ -525,12 +372,11 @@ def check_colorful_plane(gallery, p1, p2, p3, cfg: Optional[CheckConfig] = None)
             classes.append(norm)
     for cls in classes:
         for p in cls:
-            if not gallery_contains(gallery, p):
+            if not gallery.contains(p):
                 raise ValueError(f"class point {p} is not in the gallery")
     distinct = len(classes)
-    simply_connected = _is_simply_connected(gallery)
     preconditions = (
-        ("simply-connected", simply_connected),
+        ("simply-connected", gallery.simply_connected),
         ("three-distinct-classes", distinct == 3),
     )
 
@@ -540,7 +386,7 @@ def check_colorful_plane(gallery, p1, p2, p3, cfg: Optional[CheckConfig] = None)
 def check_colorful_general(gallery, classes, cfg: Optional[CheckConfig] = None) -> TheoremReport:
     """Colorful check for any number of classes (m >= 2), any gallery kind."""
     cfg = cfg or CheckConfig(theorem="colorful-general")
-    name = getattr(gallery, "name", "") or type(gallery).__name__
+    name = gallery.name or type(gallery).__name__
     norm = [tuple(pt(p) for p in cls) for cls in classes]
     if len(norm) < 2:
         raise ValueError("need at least two classes")
@@ -548,10 +394,9 @@ def check_colorful_general(gallery, classes, cfg: Optional[CheckConfig] = None) 
         if not cls:
             raise ValueError("empty color class")
         for p in cls:
-            if not gallery_contains(gallery, p):
+            if not gallery.contains(p):
                 raise ValueError(f"class point {p} is not in the gallery")
-    simply_connected = _is_simply_connected(gallery)
-    preconditions = (("simply-connected", simply_connected),)
+    preconditions = (("simply-connected", gallery.simply_connected),)
     return _colorful_core(gallery, norm, cfg, name, "colorful-general", preconditions)
 
 
@@ -569,8 +414,7 @@ def _colorful_core(gallery, classes, cfg, name, theorem, preconditions) -> Theor
             break
         checked += 1
         uniq = tuple(dict.fromkeys(tup))
-        kind, payload = _common_region(gallery, uniq, cache)
-        if _common_is_empty(kind, payload):
+        if gallery.common_visibility(uniq, cache).is_empty():
             violating.append(tup)
             if len(violating) >= 3:
                 break
@@ -584,10 +428,10 @@ def _colorful_core(gallery, classes, cfg, name, theorem, preconditions) -> Theor
     concl = "fails"
     witnesses: List[Tuple[str, object]] = []
     for i, cls in enumerate(classes):
-        kind, payload = _common_region(gallery, cls, cache)
-        if not _common_is_empty(kind, payload):
+        common = gallery.common_visibility(cls, cache)
+        if not common.is_empty():
             concl = "holds"
-            witnesses.append((f"class-{i + 1}-common-visibility", payload))
+            witnesses.append((f"class-{i + 1}-common-visibility", common))
             break
 
     pre_met = all(ok for _, ok in preconditions)
@@ -602,12 +446,6 @@ def _colorful_core(gallery, classes, cfg, name, theorem, preconditions) -> Theor
 
 # ---------------------------------------------------------------------------
 # Quantitative checkers
-
-
-def _shape_area(shape):
-    if isinstance(shape, ConvexPolygon):
-        return shape.area()
-    return area(shape)
 
 
 def _circumscribed_disc_polygon(center, r, verts: int = 96) -> Optional[ConvexPolygon]:
@@ -658,7 +496,7 @@ def _witness_in_shape(shape, family, cfg, convex_hint: bool):
 
     empty = shape.is_empty() if hasattr(shape, "is_empty") else False
     if family in ("box-volume", "box-sum", "disc", "ellipse", "region-area"):
-        total = rat(0) if empty else _shape_area(shape)
+        total = rat(0) if empty else shape.area()
         if family == "region-area":
             if total >= threshold - tol:
                 return "holds", ("region-area", total), None
@@ -673,7 +511,7 @@ def _witness_in_shape(shape, family, cfg, convex_hint: bool):
     if empty:
         return "fails", None, None  # nothing of positive size fits
     if family == "box-sum":
-        (x0, y0), (x1, y1) = region_bbox(_as_region(shape))
+        (x0, y0), (x1, y1) = region_bbox(shape)
         if (x1 - x0) + (y1 - y0) < threshold - tol:
             return "fails", None, None  # bounding box caps every contained box
 
@@ -688,7 +526,7 @@ def _witness_in_shape(shape, family, cfg, convex_hint: bool):
             return "holds", box, None
         return "undetermined", None, "box-scan-resolution"
     if family == "disc":
-        region = _as_region(shape)
+        region = as_region(shape)
         if convex_hint:
             disc = inscribe.max_inscribed_disc(shape)
             if disc.r >= float(threshold) - float(tol):
@@ -715,7 +553,7 @@ def _witness_in_shape(shape, family, cfg, convex_hint: bool):
         if convex_hint:
             return "fails", None, None  # exact optimum over a convex shape
         vx, vy = rat(cfg.direction[0]), rat(cfg.direction[1])
-        vals = [p[0] * vx + p[1] * vy for p in _region_vertices(_as_region(shape))]
+        vals = [p[0] * vx + p[1] * vy for p in _region_vertices(as_region(shape))]
         if vals and max(vals) - min(vals) < threshold - tol:
             return "fails", None, None  # the region's own width is too small
         return "undetermined", None, "vwidth-vertex-pool"
@@ -727,7 +565,7 @@ def _witness_in_shape(shape, family, cfg, convex_hint: bool):
             return "holds", seg, None
         if convex_hint:
             return "fails", None, None
-        pool = _region_vertices(_as_region(shape))
+        pool = _region_vertices(as_region(shape))
         bound = max(
             (cfg.norm_ball.norm((b[0] - a[0], b[1] - a[1]))
              for a, b in itertools.combinations(pool, 2)),
@@ -737,16 +575,6 @@ def _witness_in_shape(shape, family, cfg, convex_hint: bool):
             return "fails", None, None  # endpoints live on region vertices' hull
         return "undetermined", None, "norm-vertex-pool"
     raise ValueError(f"unknown witness family {family!r}")
-
-
-def _as_region(shape) -> Region:
-    if isinstance(shape, Region):
-        return shape
-    if isinstance(shape, ConvexPolygon):
-        return Region((shape.to_polygon(),))
-    if isinstance(shape, PolygonWithHoles):
-        return Region((shape,))
-    raise TypeError(f"cannot interpret {type(shape).__name__} as a region")
 
 
 def _region_vertices(region: Region) -> List[Point2]:
@@ -792,44 +620,29 @@ def _nonconvex_disc_search(region: Region, r, grid: int = 8):
 
 
 def _common_witness(gallery, tup, cfg, cache=None):
-    """Witness admission in the exact common visibility of a tuple."""
-    kind, payload = _common_region(gallery, tup, cache)
-    if kind == "region":
-        conv = _region_as_convex(payload)
+    """Witness admission in the exact common visibility of a tuple (areal
+    galleries only: check_quantitative has asked for the kernel first)."""
+    common = gallery.common_visibility(tup, cache)
+    if isinstance(common, Region):
+        conv = _region_as_convex(common)
         if conv is not None:
             return _witness_in_shape(conv, cfg.family, cfg, convex_hint=True)
-        return _witness_in_shape(payload, cfg.family, cfg, convex_hint=False)
-    if kind == "pinched":
-        if cfg.family == "region-area":
-            total = payload.area()
-            tol = rat(cfg.tolerance)
-            if total >= rat(cfg.threshold) - tol:
-                return "holds", ("region-area", total), None
-            return "fails", None, None
-        for idx in payload.full:
-            comp = payload.gallery.components[idx]
-            status, witness, q = _witness_in_shape(comp, cfg.family, cfg, convex_hint=True)
-            if status == "holds":
-                return status, witness, q
-        if not payload.full:
-            return "fails", None, None  # at most 1-dimensional
-        return "undetermined", None, "pinched-componentwise"
-    # skeletal: area is zero; only segment witnesses can live here
-    lone, segs = payload
-    if cfg.family in ("vwidth-segment", "norm-segment"):
-        best = None
-        for s in segs:
-            if cfg.family == "vwidth-segment":
-                v = (rat(cfg.direction[0]), rat(cfg.direction[1]))
-                val = abs((s.a[0] - s.b[0]) * v[0] + (s.a[1] - s.b[1]) * v[1])
-            else:
-                val = cfg.norm_ball.norm((s.a[0] - s.b[0], s.a[1] - s.b[1]))
-            if best is None or val > best[0]:
-                best = (val, s)
-        if best is not None and best[0] >= rat(cfg.threshold) - rat(cfg.tolerance):
-            return "holds", inscribe.SegmentWitness(best[1].a, best[1].b, best[0]), None
-        return "fails", None, None  # exact: segments exhaust the 1D common set
-    return "fails", None, None  # area-like witness in a measure-zero set
+        return _witness_in_shape(common, cfg.family, cfg, convex_hint=False)
+    # pinched: whole components plus at most 1-dimensional pieces
+    if cfg.family == "region-area":
+        total = common.area()
+        tol = rat(cfg.tolerance)
+        if total >= rat(cfg.threshold) - tol:
+            return "holds", ("region-area", total), None
+        return "fails", None, None
+    for idx in common.full:
+        comp = common.gallery.components[idx]
+        status, witness, q = _witness_in_shape(comp, cfg.family, cfg, convex_hint=True)
+        if status == "holds":
+            return status, witness, q
+    if not common.full:
+        return "fails", None, None  # at most 1-dimensional
+    return "undetermined", None, "pinched-componentwise"
 
 
 def check_quantitative(gallery, candidates: Optional[CandidateSet] = None,
@@ -850,7 +663,7 @@ def check_quantitative(gallery, candidates: Optional[CandidateSet] = None,
         raise ValueError("check_quantitative needs cfg.threshold")
     if rat(cfg.threshold) <= 0:
         raise ValueError("threshold must be positive")
-    name = getattr(gallery, "name", "") or type(gallery).__name__
+    name = gallery.name or type(gallery).__name__
     k = cfg.tuple_size()
     if candidates is None:
         candidates = CandidateSet.default(

@@ -22,7 +22,6 @@ from artgallery.docio import DocumentError
 from artgallery import checkers
 from artgallery.checkers import CandidateSet, CheckConfig, QUANT_FAMILIES
 from artgallery import galleries
-from artgallery.kernel import kernel_simple
 from artgallery.visibility import (
     pinched_common_visibility,
     skeletal_common_visibility,
@@ -56,16 +55,11 @@ def _parse_xy(x: str, y: str) -> Point2:
 def cmd_vis(args) -> int:
     gallery = docio.load_gallery(args.gallery)
     p = _parse_xy(args.x, args.y)
-    if not checkers.gallery_contains(gallery, p):
+    if not gallery.contains(p):
         raise InputError(f"point ({args.x}, {args.y}) is outside the gallery")
     if isinstance(gallery, SkeletalGallery):
-        lone, segs = skeletal_common_visibility(gallery, [p])
-        doc = {
-            "format_version": docio.FORMAT_VERSION,
-            "kind": "skeletal-visibility",
-            "points": [[str(q[0]), str(q[1])] for q in lone],
-            "segments": [[[str(s.a[0]), str(s.a[1])], [str(s.b[0]), str(s.b[1])]] for s in segs],
-        }
+        doc = docio.shape_to_document(skeletal_common_visibility(gallery, [p]))
+        doc = {"format_version": docio.FORMAT_VERSION, "kind": doc.pop("type"), **doc}
         _emit(docio.dumps(doc), args.output)
         return 0
     if isinstance(gallery, PinchedGallery):
@@ -89,8 +83,6 @@ def cmd_vis(args) -> int:
 
 def cmd_kernel(args) -> int:
     gallery = docio.load_gallery(args.gallery)
-    if isinstance(gallery, SkeletalGallery):
-        raise InputError("kernel is defined for areal galleries only")
     verdict, witness, _, _ = checkers.kernel_status(gallery)
     if verdict == "fails":
         print("EMPTY")
@@ -280,8 +272,6 @@ def cmd_render(args) -> int:
         if spec == "classes":
             overlays.append(("classes", None))
         elif spec == "kernel":
-            if isinstance(gallery, SkeletalGallery):
-                raise InputError("kernel overlay needs an areal gallery")
             verdict, witness, _, _ = checkers.kernel_status(gallery)
             if verdict == "holds":
                 kind = "points" if isinstance(witness, Point2) else "kernel"
@@ -292,7 +282,7 @@ def cmd_render(args) -> int:
             if len(coords) != 2:
                 raise InputError(f"overlay {spec!r} needs vis:X,Y")
             p = _parse_xy(*coords)
-            if not checkers.gallery_contains(gallery, p):
+            if not gallery.contains(p):
                 raise InputError(f"vis point {coords} is outside the gallery")
             if isinstance(gallery, (SkeletalGallery, PinchedGallery)):
                 raise InputError("vis overlay supports polygonal galleries only")

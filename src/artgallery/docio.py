@@ -20,6 +20,7 @@ from artgallery.gallery import Gallery, PinchedGallery, SkeletalGallery, as_poly
 from artgallery.geom.primitives import Point2
 from artgallery.geom.polygon import PolygonWithHoles, Region
 from artgallery.geom.convex import ConvexPolygon
+from artgallery.visibility import SkeletalCommonVisibility
 from artgallery import inscribe
 
 FORMAT_VERSION = 1
@@ -189,6 +190,12 @@ def shape_to_document(shape) -> dict:
     if isinstance(shape, (Region, PolygonWithHoles)):
         reg = shape if isinstance(shape, Region) else Region((shape,))
         return {"type": "region", "region": region_to_document(reg)}
+    if isinstance(shape, SkeletalCommonVisibility):
+        return {
+            "type": "skeletal-visibility",
+            "points": [_point(p) for p in shape.points],
+            "segments": [[_point(s.a), _point(s.b)] for s in shape.segments],
+        }
     if isinstance(shape, tuple) and len(shape) == 2 and isinstance(shape[0], str):
         return {"type": "value", "label": shape[0], "value": fmt(shape[1])}
     if hasattr(shape, "full") and hasattr(shape, "gallery"):  # pinched visibility

@@ -24,7 +24,6 @@ from artgallery.geom.convex import (
     clip_convex,
     convex_hull,
 )
-from artgallery.geom.boolean import region_boolean
 from artgallery.gallery import Gallery, PinchedGallery, SkeletalGallery
 from artgallery.kernel import kernel_simple
 

@@ -164,7 +164,8 @@ def _trace_rings(darts):
     return rings
 
 
-def _merge_collinear(ring):
+def merge_collinear(ring):
+    """The ring without vertices that lie on the line through their neighbours."""
     out = list(ring)
     changed = True
     while changed and len(out) > 2:
@@ -241,7 +242,7 @@ def _region_from_darts(darts) -> Region:
     if not darts:
         return Region.empty()
 
-    rings = [_merge_collinear(r) for r in _trace_rings(darts)]
+    rings = [merge_collinear(r) for r in _trace_rings(darts)]
     rings = [r for r in rings if len(r) >= 3 and ring_signed_area(r) != 0]
     if not rings:
         return Region.empty()
@@ -278,9 +279,9 @@ def _region_from_darts(darts) -> Region:
 def _canonical(region: Region) -> Region:
     comps = []
     for c in region.components:
-        outer = SimplePolygon(tuple(_merge_collinear(list(c.outer.vertices))))
+        outer = SimplePolygon(tuple(merge_collinear(list(c.outer.vertices))))
         holes = tuple(
-            SimplePolygon(tuple(_merge_collinear(list(h.vertices)))) for h in c.holes
+            SimplePolygon(tuple(merge_collinear(list(h.vertices)))) for h in c.holes
         )
         if outer.area() == 0:
             continue

@@ -9,15 +9,13 @@ boundary-touch intersections) distinguishes "empty" from "measure zero".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from artgallery.rational import rat
 from artgallery.geom.primitives import (
     Point2,
     angle_less,
     cross,
-    line_intersection,
     on_segment,
     pt,
     same_direction,

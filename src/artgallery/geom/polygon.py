@@ -13,15 +13,13 @@ Membership is closed-set membership: boundary points belong to the set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from artgallery.rational import rat
 from artgallery.geom.primitives import (
     Point2,
-    cross,
     on_segment,
-    orient,
     pt,
     segments_intersect,
 )
@@ -322,19 +320,6 @@ def scale_region(region, s, center=(0, 0)):
     for c in region.components:
         outer = SimplePolygon(tuple(tx(v) for v in c.outer.vertices))
         holes = tuple(SimplePolygon(tuple(tx(v) for v in h.vertices)) for h in c.holes)
-        comps.append(PolygonWithHoles(outer, holes))
-    return Region(comps)
-
-
-def translate_region(region, dx, dy):
-    dx, dy = rat(dx), rat(dy)
-    comps = []
-    for c in as_region(region).components:
-        outer = SimplePolygon(tuple(Point2(v[0] + dx, v[1] + dy) for v in c.outer.vertices))
-        holes = tuple(
-            SimplePolygon(tuple(Point2(v[0] + dx, v[1] + dy) for v in h.vertices))
-            for h in c.holes
-        )
         comps.append(PolygonWithHoles(outer, holes))
     return Region(comps)
 

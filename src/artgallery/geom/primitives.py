@@ -6,7 +6,7 @@ rational coordinates and return exact answers; there are no tolerances.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 from artgallery.rational import rat
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from artgallery.rational import rat, rationalize
-from artgallery.geom.primitives import Point2, pt
+from artgallery.geom.primitives import Point2
 from artgallery.geom.polygon import Region, as_region, point_in_region, region_bbox
 from artgallery.geom.convex import ConvexPolygon, HalfPlane, clip_convex, convex_hull
 from artgallery.visibility import segment_in_polygon

@@ -9,13 +9,12 @@ criterion, and a grid oracle is provided for cross-checking.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from artgallery.rational import rat
-from artgallery.gallery import Gallery, as_polygon
+from artgallery.gallery import as_polygon
 from artgallery.geom.primitives import Point2, orient, pt
 from artgallery.geom.polygon import (
-    PolygonWithHoles,
     Region,
     locate_in_polygon,
     region_bbox,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from artgallery.gallery import PinchedGallery, SkeletalGallery, as_polygon
+from artgallery.gallery import PinchedGallery, SkeletalGallery
 from artgallery.geom.convex import ConvexPolygon
 from artgallery.geom.polygon import PolygonWithHoles, Region
 from artgallery.geom.primitives import Point2
@@ -65,21 +65,6 @@ def _shape_bounds(points):
     xs = [float(p[0]) for p in points]
     ys = [float(p[1]) for p in points]
     return (min(xs), min(ys)), (max(xs), max(ys))
-
-
-def _gallery_points(gallery):
-    if isinstance(gallery, SkeletalGallery):
-        for s in gallery.segments:
-            yield s.a
-            yield s.b
-        return
-    if isinstance(gallery, PinchedGallery):
-        for c in gallery.components:
-            yield from c.vertices
-        return
-    poly = as_polygon(gallery)
-    for ring in poly.rings():
-        yield from ring
 
 
 def _path_for_polygon(canvas, poly) -> str:
@@ -164,7 +149,7 @@ def _witness_elements(canvas, shape) -> List[str]:
 def render_svg(gallery, overlays: Sequence[Tuple[str, object]] = (), size: int = 640) -> str:
     """Overlays: ("region", shape), ("kernel", shape), ("witness", shape),
     ("points", iterable), ("classes", None) drawn in that fixed z-order."""
-    pts = list(_gallery_points(gallery))
+    pts = [p for p, _ in gallery.structural_points()]
     if not pts:
         raise RenderError("gallery has no points")
     canvas = _Canvas(_shape_bounds(pts), size=size)
@@ -186,7 +171,7 @@ def render_svg(gallery, overlays: Sequence[Tuple[str, object]] = (), size: int =
         for c in gallery.components:
             body.append(_polygon_element(canvas, c.to_polygon(), _GALLERY_FILL))
     else:
-        body.append(_polygon_element(canvas, as_polygon(gallery), _GALLERY_FILL))
+        body.append(_polygon_element(canvas, gallery.polygon, _GALLERY_FILL))
 
     for slot in range(5):
         for kind, payload in overlays:

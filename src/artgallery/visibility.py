@@ -18,10 +18,10 @@ two ways that both occur in legitimate galleries and are represented exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from artgallery.rational import rat
-from artgallery.gallery import Gallery, PinchedGallery, SkeletalGallery, as_polygon
+from artgallery.gallery import PinchedGallery, SkeletalGallery, as_polygon
 from artgallery.geom.primitives import (
     Point2,
     Segment2,
@@ -41,7 +41,7 @@ from artgallery.geom.polygon import (
     ring_signed_area,
 )
 from artgallery.geom.convex import ConvexPolygon, convex_hull
-from artgallery.geom.boolean import region_boolean
+from artgallery.geom.boolean import merge_collinear, region_boolean
 
 
 class NotInGallery(ValueError):
@@ -211,21 +211,6 @@ def _split_pinched(ring: List[Point2]) -> List[List[Point2]]:
     return out
 
 
-def _merge_collinear_ring(ring: List[Point2]) -> List[Point2]:
-    out = list(ring)
-    changed = True
-    while changed and len(out) > 2:
-        changed = False
-        n = len(out)
-        for i in range(n):
-            a, b, c = out[(i - 1) % n], out[i], out[(i + 1) % n]
-            if cross(a, b, c) == 0:
-                del out[i]
-                changed = True
-                break
-    return out
-
-
 def visibility_polygon(gallery, x) -> VisibilityRegion:
     """Exact visibility region of viewpoint x (angular sweep over rationals).
 
@@ -297,7 +282,7 @@ def visibility_polygon(gallery, x) -> VisibilityRegion:
     comps = []
     if len(ring_pts) >= 3:
         for loop in _split_pinched(ring_pts):
-            loop = _merge_collinear_ring(loop)
+            loop = merge_collinear(loop)
             if len(loop) >= 3 and ring_signed_area(loop) != 0:
                 comps.append(PolygonWithHoles(SimplePolygon(tuple(loop))))
     return VisibilityRegion(viewpoint=x, region=Region(tuple(comps)), antennas=tuple(antennas))
@@ -317,19 +302,24 @@ def convex_visibility(gallery, x) -> ConvexPolygon:
     return convex_hull(pts)
 
 
-def common_visibility(gallery, points) -> Region:
+def common_visibility(gallery, points, cache=None) -> Region:
     """Exact intersection of the viewpoints' visibility regions.
 
     Zero-area intersections (shared boundary or antenna contacts only) come
-    back empty, matching the canonical region form.
+    back empty, matching the canonical region form. `cache` maps viewpoints
+    to their visibility regions, so that a caller enumerating many tuples
+    computes each visibility polygon once.
     """
     points = [pt(p) for p in points]
     if not points:
         raise ValueError("need at least one viewpoint")
+    cache = {} if cache is None else cache
     acc: Optional[Region] = None
     for p in points:
-        vis = visibility_polygon(gallery, p)
-        acc = vis.region if acc is None else region_boolean("intersect", acc, vis.region)
+        vis = cache.get(p)
+        if vis is None:
+            vis = cache[p] = visibility_polygon(gallery, p).region
+        acc = vis if acc is None else region_boolean("intersect", acc, vis)
         if acc.is_empty():
             return acc
     return acc
@@ -432,12 +422,19 @@ def skeletal_visibility(skel: SkeletalGallery, x) -> Tuple[Segment2, ...]:
     return tuple(runs)
 
 
-def skeletal_common_visibility(skel: SkeletalGallery, points):
-    """Exact common visibility of viewpoints on a skeletal gallery.
+class SkeletalCommonVisibility(NamedTuple):
+    """Common visibility on a skeletal gallery: the isolated common points
+    and the common subsegments, which together exhaust it exactly."""
 
-    Returns (points, segments): the isolated common points and the common
-    subsegments. Both lists exhaust the common visibility set exactly.
-    """
+    points: Tuple[Point2, ...]
+    segments: Tuple[Segment2, ...]
+
+    def is_empty(self) -> bool:
+        return not self.points and not self.segments
+
+
+def skeletal_common_visibility(skel: SkeletalGallery, points) -> SkeletalCommonVisibility:
+    """Exact common visibility of viewpoints on a skeletal gallery."""
     points = [pt(p) for p in points]
     if not points:
         raise ValueError("need at least one viewpoint")
@@ -468,7 +465,7 @@ def skeletal_common_visibility(skel: SkeletalGallery, points):
     # Drop points already covered by segments.
     seg_objs = [Segment2(a, b) for a, b in cur_segs]
     lone = [p for p in cur_pts if not any(on_segment(p, s.a, s.b) for s in seg_objs)]
-    return tuple(dict.fromkeys(lone)), tuple(seg_objs)
+    return SkeletalCommonVisibility(tuple(dict.fromkeys(lone)), tuple(seg_objs))
 
 
 # ---------------------------------------------------------------------------

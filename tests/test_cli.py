@@ -1,9 +1,14 @@
-"""Command-line entry points: exit codes and report timing."""
+"""Command-line entry points: exit codes, report timing and output pins."""
 
+import hashlib
 import json
 import time
 
+import pytest
+
+from artgallery import docio
 from artgallery.cli import main
+from artgallery.gallery import SkeletalGallery
 
 
 def test_check_generator_with_quantitative_family(tmp_path):
@@ -26,3 +31,82 @@ def test_check_batch_timing_is_per_report(tmp_path):
     seconds = [r["timing"]["seconds"] for r in reports]
     assert all(s > 0 for s in seconds)
     assert sum(seconds) <= wall
+
+
+# Output pins for vis, kernel and render on one gallery of each kind
+# (polygonal star-0, pinched fig1, skeletal spider): sha256 of the -o file,
+# of the --svg file (None where none is written) and of stdout.
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+OUTPUT_PINS = {
+    ("star", "vis", ("0", "0")): (
+        "139c6676349c48ab6cc7c7faa574aff1d62141a8c432b565b64a375c9c64b3f8",
+        "83a4942746b4b1a8414537499ac7f52640adb7fa912eebacab24117a8f02fb57",
+        EMPTY,
+    ),
+    ("fig1", "vis", ("7", "6")): (
+        "be60025cb8b581334b4a885e4a00470e27d96535c82c235bf8df1896ac5911f8",
+        "acf585ae14222fa9847fa921e35cdf8be91b3c1455aa5df8c7d1d333e2d9bbc2",
+        EMPTY,
+    ),
+    ("spider", "vis", ("5", "31/10")): (
+        "9b549076bfb957cf935e6604db29496ee0756966e18e1009ab5e275b88e330ac",
+        None,
+        EMPTY,
+    ),
+    ("star", "kernel", ()): (
+        "57211746098f1af0f1813d55169afb9e4edb0308be33bd8037e2ef8c4c9ee087",
+        "2779a0ad9bf925e5ba0e7607d2ed0798a9b2abd2b174e9b69e0ad22337daa78c",
+        "ca0292f59401b93caf37374cb0cc0b6f5d2858517fa9e1e85584699f8c07ce9c",
+    ),
+    ("fig1", "kernel", ()): (
+        "994573223e1a6871c9df9cf071035effa92e417612265486512fb8c8aad89e76",
+        None,
+        "a3395601ed5265fe3f97da9dcdd9e5cae777dbc2bd32e2c2c066c66613eee499",
+    ),
+    ("star", "render", ("--overlay", "classes")): (
+        "d1ad1565718726831e3fab20f989040a58657faebbb748b4b6e5bd529e5aece4", None, EMPTY,
+    ),
+    ("fig1", "render", ("--overlay", "classes")): (
+        "5d3af94cf459eda663be57ff6b1faaf6579b12a1e96d5f84bc596581bbe25bd4", None, EMPTY,
+    ),
+    ("spider", "render", ("--overlay", "classes")): (
+        "c8c4623c196b4acc7988cc07f8c80b9d799c43bfe1c74ea8d5fced053ae00bc6", None, EMPTY,
+    ),
+}
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_PINS), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_command_output_is_pinned(case, tmp_path, capsys):
+    example, command, extra = case
+    gallery, out, svg = tmp_path / "g.json", tmp_path / "out", tmp_path / "out.svg"
+    assert main(["generate", "--example", example, "-o", str(gallery)]) == 0
+    argv = [command, str(gallery), *extra, "-o", str(out)]
+    if command != "render":
+        argv += ["--svg", str(svg)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (_sha(out), _sha(svg), stdout) == OUTPUT_PINS[case]
+
+
+# A skeletal gallery has no kernel: every command that needs one exits 2
+# with one message, never 1 with "internal error".
+def _plus_gallery(path):
+    docio.save_gallery(path, SkeletalGallery([((-1, 0), (1, 0)), ((0, -1), (0, 1))], name="plus"))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--theorem", "classic"],
+    ["check", "--theorem", "vwidth-segment", "--threshold", "1"],
+    ["kernel"],
+    ["render", "--overlay", "kernel"],
+], ids=lambda a: "-".join(a[:3:2]))
+def test_skeletal_gallery_kernel_commands_exit_2(argv, tmp_path, capsys):
+    gallery = _plus_gallery(tmp_path / "plus.json")
+    assert main([argv[0], gallery, *argv[1:], "-o", str(tmp_path / "out")]) == 2
+    assert "kernel is defined for areal galleries only" in capsys.readouterr().err
