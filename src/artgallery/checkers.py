@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from artgallery.rational import rat, rationalize
 from artgallery.gallery import Gallery
@@ -82,10 +82,6 @@ class CandidateSet:
                 raise ValueError(f"candidate {q} is not in the gallery")
             add(q, "user")
         return CandidateSet(tuple(pts), tuple(tags))
-
-
-def gallery_contains(gallery, p: Point2) -> bool:
-    return gallery.contains(p)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +302,9 @@ def check_classic(gallery, candidates: Optional[CandidateSet] = None,
 
     # general path: enumerate candidate tuples up to the cap
     cache: dict = {}
-    hyp, violating, cov = _enumerate_tuples(
-        gallery, candidates.points, k, cfg.cap,
-        lambda tup: not gallery.common_visibility(tup, cache).is_empty(),
+    hyp, violating, _, cov = _scan(
+        itertools.combinations(candidates.points, k), _ncomb(len(candidates), k), cfg.cap,
+        lambda tup: _common_status(gallery, tup, cache),
     )
     classification = _classify(hyp, concl, True, certified)
     return TheoremReport(
@@ -322,24 +318,46 @@ def _ncomb(n: int, k: int) -> int:
     return math.comb(n, k) if n >= k else 0
 
 
-def _enumerate_tuples(gallery, points, k, cap, tuple_ok):
-    total = _ncomb(len(points), k)
-    checked = 0
+def _common_status(gallery, tup, cache):
+    """("fails", None) when the tuple sees no common point, else ("holds", None)."""
+    return ("fails" if gallery.common_visibility(tup, cache).is_empty() else "holds"), None
+
+
+def _scan(tuples, total, cap, judge):
+    """Judge tuples in order until three fail or `cap` have been judged.
+
+    `judge(tup)` returns (status, qualifier), status being "holds", "fails"
+    or "undetermined". Returns the hypothesis verdict, the failing tuples,
+    the distinct qualifiers (plus a tally of undetermined tuples) and the
+    coverage.
+    """
+    checked = undetermined = 0
     violating: List[Tuple[Point2, ...]] = []
-    for tup in itertools.combinations(points, k):
+    qualifiers: List[str] = []
+    truncated = False
+    for tup in tuples:
         if checked >= cap:
-            return (
-                "violated" if violating else "undetermined",
-                tuple(violating),
-                Coverage(checked, total, truncated=True),
-            )
+            truncated = True
+            break
         checked += 1
-        if not tuple_ok(tup):
+        status, q = judge(tup)
+        if q and q not in qualifiers:
+            qualifiers.append(q)
+        if status == "fails":
             violating.append(tup)
             if len(violating) >= 3:
                 break
-    hyp = "violated" if violating else "holds-on-candidates"
-    return hyp, tuple(violating), Coverage(checked, total)
+        elif status == "undetermined":
+            undetermined += 1
+    if violating:
+        hyp = "violated"
+    elif truncated or undetermined:
+        hyp = "undetermined"
+        if undetermined:
+            qualifiers.append(f"{undetermined} tuples undetermined at search resolution")
+    else:
+        hyp = "holds-on-candidates"
+    return hyp, tuple(violating), qualifiers, Coverage(checked, total, truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -401,29 +419,11 @@ def check_colorful_general(gallery, classes, cfg: Optional[CheckConfig] = None) 
 
 
 def _colorful_core(gallery, classes, cfg, name, theorem, preconditions) -> TheoremReport:
-    total = 1
-    for cls in classes:
-        total *= len(cls)
-    checked = 0
-    violating: List[Tuple[Point2, ...]] = []
-    truncated = False
     cache: dict = {}
-    for tup in itertools.product(*classes):
-        if checked >= cfg.cap:
-            truncated = True
-            break
-        checked += 1
-        uniq = tuple(dict.fromkeys(tup))
-        if gallery.common_visibility(uniq, cache).is_empty():
-            violating.append(tup)
-            if len(violating) >= 3:
-                break
-    if violating:
-        hyp = "violated"
-    elif truncated:
-        hyp = "undetermined"
-    else:
-        hyp = "holds-on-candidates"
+    hyp, violating, _, cov = _scan(
+        itertools.product(*classes), math.prod(len(cls) for cls in classes), cfg.cap,
+        lambda tup: _common_status(gallery, tuple(dict.fromkeys(tup)), cache),
+    )
 
     concl = "fails"
     witnesses: List[Tuple[str, object]] = []
@@ -438,8 +438,7 @@ def _colorful_core(gallery, classes, cfg, name, theorem, preconditions) -> Theor
     classification = _classify(hyp, concl, pre_met, True)
     return TheoremReport(
         theorem, name, hyp, concl, classification,
-        violating_tuples=tuple(violating), witnesses=tuple(witnesses),
-        coverage=Coverage(checked, total, truncated=truncated),
+        violating_tuples=violating, witnesses=tuple(witnesses), coverage=cov,
         preconditions=preconditions, config=cfg,
     )
 
@@ -701,43 +700,20 @@ def check_quantitative(gallery, candidates: Optional[CandidateSet] = None,
             qualifiers=tuple(dict.fromkeys(kernel_quals)), config=cfg,
         )
 
-    checked = 0
-    undetermined = 0
-    violating: List[Tuple[Point2, ...]] = []
-    qualifiers: List[str] = []
-    truncated = False
     cache: dict = {}
-    for tup in itertools.combinations(candidates.points, k):
-        if checked >= cfg.cap:
-            truncated = True
-            break
-        checked += 1
-        status, _, q = _common_witness(gallery, tup, cfg, cache)
-        if q and q not in qualifiers:
-            qualifiers.append(q)
-        if status == "fails":
-            violating.append(tup)
-            if len(violating) >= 3:
-                break
-        elif status == "undetermined":
-            undetermined += 1
-    if violating:
-        hyp = "violated"
-    elif truncated or undetermined:
-        hyp = "undetermined"
-        if undetermined:
-            qualifiers.append(f"{undetermined} tuples undetermined at search resolution")
-    else:
-        hyp = "holds-on-candidates"
-    qualifiers.extend(kernel_quals)
 
+    def judge(tup):
+        status, _, q = _common_witness(gallery, tup, cfg, cache)
+        return status, q
+
+    hyp, violating, qualifiers, cov = _scan(
+        itertools.combinations(candidates.points, k), total, cfg.cap, judge
+    )
     classification = _classify(hyp, concl, True, certified_failure)
     return TheoremReport(
-        theorem, name,
-        hyp, concl, classification,
-        violating_tuples=tuple(violating), witnesses=tuple(witnesses),
-        coverage=Coverage(checked, total, truncated=truncated),
-        qualifiers=tuple(dict.fromkeys(qualifiers)), config=cfg,
+        theorem, name, hyp, concl, classification,
+        violating_tuples=violating, witnesses=tuple(witnesses), coverage=cov,
+        qualifiers=tuple(dict.fromkeys(qualifiers + kernel_quals)), config=cfg,
     )
 
 
@@ -798,7 +774,3 @@ def iter_counterexamples(generator, cfg: Optional[CheckConfig] = None,
         return replace(rep, reproduction=(("generator", str(generator)), ("seed", run_seed)))
 
     return (run(i) for i in range(budget))
-
-
-def violation_candidates(reports: Sequence[TheoremReport]) -> List[TheoremReport]:
-    return [r for r in reports if r.classification == "THEOREM_VIOLATION_CANDIDATE"]

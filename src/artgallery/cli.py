@@ -14,7 +14,7 @@ import sys
 import time
 from typing import List, Optional
 
-from artgallery.rational import rat
+from artgallery.rational import fmt, rat
 from artgallery.gallery import Gallery, PinchedGallery, SkeletalGallery
 from artgallery.geom.primitives import Point2
 from artgallery import docio, render
@@ -94,7 +94,7 @@ def cmd_kernel(args) -> int:
         doc = docio.shape_to_document(witness)
     else:
         exact = witness.area()
-        text = str(exact)
+        text = fmt(exact)
         if len(text) > 60:  # exact value still lands in the output document
             text = f"~{float(exact):.12g} (exact rational has {len(text)} digits; use -o)"
         print(f"area {text}")
@@ -145,16 +145,20 @@ def _class_selection(gallery, names: Optional[str]) -> List[tuple]:
     return classes
 
 
-def _run_check(gallery, args):
-    theorem = args.theorem
-    cfg = CheckConfig(
-        theorem="quantitative" if theorem in QUANT_FAMILIES else theorem,
+def _check_config(args) -> CheckConfig:
+    quantitative = args.theorem in QUANT_FAMILIES
+    return CheckConfig(
+        theorem="quantitative" if quantitative else args.theorem,
         k=args.k,
-        family=theorem if theorem in QUANT_FAMILIES else None,
+        family=args.theorem if quantitative else None,
         threshold=rat(args.threshold) if args.threshold is not None else None,
         seed=args.seed,
         cap=args.cap,
     )
+
+
+def _run_check(gallery, args, cfg: CheckConfig):
+    theorem = args.theorem
     if theorem == "classic":
         cand = _load_candidates(gallery, args.candidates, args.seed)
         return checkers.check_classic(gallery, cand, cfg)
@@ -176,22 +180,15 @@ def _run_check(gallery, args):
 
 def cmd_check(args) -> int:
     t0 = time.monotonic()
+    cfg = _check_config(args)
     if args.generator:
-        cfg = CheckConfig(
-            theorem="quantitative" if args.theorem in QUANT_FAMILIES else args.theorem,
-            k=args.k,
-            family=args.theorem if args.theorem in QUANT_FAMILIES else None,
-            threshold=rat(args.threshold) if args.threshold is not None else None,
-            seed=args.seed,
-            cap=args.cap,
-        )
         runs = checkers.iter_counterexamples(
             args.generator, cfg, budget=args.budget, seed=args.seed
         )
     else:
         if not args.gallery:
             raise InputError("pass a gallery file or --generator")
-        runs = [_run_check(docio.load_gallery(args.gallery), args)]
+        runs = [_run_check(docio.load_gallery(args.gallery), args, cfg)]
 
     reports, docs = [], []
     for r in runs:  # each report is timed on its own, from the end of the one before

@@ -30,17 +30,6 @@ class DocumentError(ValueError):
     pass
 
 
-def _scalar(value):
-    """Exact rationals as "p/q" strings, floats as native JSON numbers."""
-    if isinstance(value, float):
-        return float(value)
-    return fmt(value)
-
-
-def _parse_scalar(value):
-    return rat(value) if isinstance(value, str) else float(value)
-
-
 def _point(p) -> list:
     return [fmt(p[0]), fmt(p[1])]
 
@@ -116,11 +105,6 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def save_gallery(path, gallery, metadata: Optional[dict] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(gallery_to_document(gallery, metadata)))
-
-
 def load_gallery(path):
     with open(path, encoding="utf-8") as fh:
         try:
@@ -145,17 +129,6 @@ def region_to_document(region) -> dict:
             for c in region.components
         ],
     }
-
-
-def document_to_region(doc: dict) -> Region:
-    if doc.get("kind") != "region" or doc.get("format_version") != FORMAT_VERSION:
-        raise DocumentError("not a region document")
-    comps = []
-    for c in doc["components"]:
-        outer = [_parse_point(p) for p in c["outer"]]
-        holes = tuple([_parse_point(p) for p in h] for h in c.get("holes", []))
-        comps.append(PolygonWithHoles(outer, holes))
-    return Region(tuple(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -206,27 +179,6 @@ def shape_to_document(shape) -> dict:
             "points": [_point(p) for p in shape.points],
         }
     return {"type": "opaque", "repr": repr(shape)}
-
-
-def document_to_shape(doc: dict):
-    kind = doc.get("type")
-    if kind == "point":
-        return _parse_point(doc["at"])
-    if kind == "disc":
-        return inscribe.Disc(doc["cx"], doc["cy"], doc["r"])
-    if kind == "box":
-        return inscribe.Box2(rat(doc["x"]), rat(doc["y"]), rat(doc["w"]), rat(doc["h"]))
-    if kind == "ellipse":
-        return inscribe.Ellipse(tuple(doc["center"]), doc["a11"], doc["a12"], doc["a22"])
-    if kind == "segment":
-        return inscribe.SegmentWitness(
-            _parse_point(doc["a"]), _parse_point(doc["b"]), rat(doc["value"]), doc["certified"]
-        )
-    if kind == "polygon":
-        return ConvexPolygon([_parse_point(p) for p in doc["vertices"]])
-    if kind == "region":
-        return document_to_region(doc["region"])
-    raise DocumentError(f"cannot reconstruct shape type {kind!r}")
 
 
 # ---------------------------------------------------------------------------

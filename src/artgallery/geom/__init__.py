@@ -10,7 +10,6 @@ from artgallery.geom.primitives import (
     Segment2,
     orient,
     cross,
-    dot,
     on_segment,
     segments_intersect,
     angle_less,
@@ -20,13 +19,9 @@ from artgallery.geom.polygon import (
     SimplePolygon,
     PolygonWithHoles,
     Region,
-    area,
-    region_area,
-    point_in_polygon,
     point_in_region,
     scale_region,
     region_bbox,
-    polygon_interior_point,
 )
 from artgallery.geom.convex import (
     ConvexPolygon,
@@ -34,20 +29,14 @@ from artgallery.geom.convex import (
     convex_hull,
     convex_intersect,
     clip_convex,
-    halfplane_intersect,
-    HalfPlaneEmpty,
-    HalfPlaneUnbounded,
-    minkowski_sum_convex,
-    support,
 )
-from artgallery.geom.boolean import region_boolean, region_equal
+from artgallery.geom.boolean import region_boolean
 
 __all__ = [
     "Point2",
     "Segment2",
     "orient",
     "cross",
-    "dot",
     "on_segment",
     "segments_intersect",
     "angle_less",
@@ -55,23 +44,13 @@ __all__ = [
     "SimplePolygon",
     "PolygonWithHoles",
     "Region",
-    "area",
-    "region_area",
-    "point_in_polygon",
     "point_in_region",
     "scale_region",
     "region_bbox",
-    "polygon_interior_point",
     "ConvexPolygon",
     "HalfPlane",
     "convex_hull",
     "convex_intersect",
     "clip_convex",
-    "halfplane_intersect",
-    "HalfPlaneEmpty",
-    "HalfPlaneUnbounded",
-    "minkowski_sum_convex",
-    "support",
     "region_boolean",
-    "region_equal",
 ]

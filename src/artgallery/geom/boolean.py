@@ -288,13 +288,3 @@ def _canonical(region: Region) -> Region:
         comps.append(PolygonWithHoles(outer, tuple(h for h in holes if h.area() != 0)))
     comps.sort(key=lambda c: tuple(c.outer.vertices[0]))
     return Region(tuple(comps))
-
-
-def region_equal(r1, r2) -> bool:
-    """Exact equality as point sets up to zero-area slivers."""
-    r1, r2 = as_region(r1), as_region(r2)
-    if r1.is_empty() and r2.is_empty():
-        return True
-    u = region_boolean("union", r1, r2)
-    i = region_boolean("intersect", r1, r2)
-    return u.area() == i.area()

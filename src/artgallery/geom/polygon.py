@@ -265,29 +265,12 @@ def locate_in_region(p, region) -> str:
     return best
 
 
-def point_in_polygon(p, poly) -> bool:
-    """Closed-set membership (boundary counts as inside)."""
-    if isinstance(poly, PolygonWithHoles):
-        return locate_in_polygon(p, poly) != "out"
-    ring = poly.vertices if isinstance(poly, SimplePolygon) else poly
-    return locate_in_ring(p, ring) != "out"
-
-
 def point_in_region(p, region) -> bool:
     return locate_in_region(p, region) != "out"
 
 
 # ---------------------------------------------------------------------------
 # Measures and transforms
-
-
-def area(shape):
-    """Exact area of a polygon-like or region-like shape."""
-    return as_region(shape).area()
-
-
-def region_area(region):
-    return as_region(region).area()
 
 
 def region_bbox(region):
@@ -322,56 +305,3 @@ def scale_region(region, s, center=(0, 0)):
         holes = tuple(SimplePolygon(tuple(tx(v) for v in h.vertices)) for h in c.holes)
         comps.append(PolygonWithHoles(outer, holes))
     return Region(comps)
-
-
-def ring_interior_point(ring) -> Point2:
-    """A point strictly inside the Jordan curve of ``ring`` (exact).
-
-    Sweeps a horizontal line at a height strictly between two vertex
-    ordinates, so every boundary crossing is proper; the midpoint of the
-    first crossing gap is interior.
-    """
-    ys = sorted({v[1] for v in ring})
-    if len(ys) < 2:
-        raise ValueError("degenerate ring")
-    for k in range(len(ys) - 1):
-        ystar = (ys[k] + ys[k + 1]) / 2
-        xs = []
-        for a, b in ring_edges(ring):
-            ay, by = a[1], b[1]
-            if (ay > ystar) != (by > ystar):
-                xs.append(a[0] + (ystar - ay) * (b[0] - a[0]) / (by - ay))
-        xs.sort()
-        if len(xs) >= 2:
-            return Point2((xs[0] + xs[1]) / 2, ystar)
-    raise ValueError("could not find interior point")
-
-
-def polygon_interior_point(poly) -> Point2:
-    """A point strictly inside a PolygonWithHoles (exact sweep, parity over all rings)."""
-    if isinstance(poly, SimplePolygon):
-        return ring_interior_point(poly.vertices)
-    ys = sorted({v[1] for ring in poly.rings() for v in ring})
-    for k in range(len(ys) - 1):
-        ystar = (ys[k] + ys[k + 1]) / 2
-        xs = []
-        for a, b in poly.boundary_edges():
-            ay, by = a[1], b[1]
-            if (ay > ystar) != (by > ystar):
-                xs.append(a[0] + (ystar - ay) * (b[0] - a[0]) / (by - ay))
-        xs.sort()
-        # Coincident crossings cancel in pairs (shared boundary pieces).
-        gaps = []
-        i = 0
-        while i < len(xs):
-            j = i
-            while j < len(xs) and xs[j] == xs[i]:
-                j += 1
-            if (j - i) % 2 == 1:
-                gaps.append(xs[i])
-            i = j
-        if len(gaps) >= 2:
-            cand = Point2((gaps[0] + gaps[1]) / 2, ystar)
-            if locate_in_polygon(cand, poly) == "in":
-                return cand
-    raise ValueError("could not find interior point")

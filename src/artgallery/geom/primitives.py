@@ -17,10 +17,6 @@ class Point2(NamedTuple):
     x: object
     y: object
 
-    @staticmethod
-    def of(x, y) -> "Point2":
-        return Point2(rat(x), rat(y))
-
     def __repr__(self):
         return f"Point2({self.x}, {self.y})"
 
@@ -28,10 +24,6 @@ class Point2(NamedTuple):
 class Segment2(NamedTuple):
     a: Point2
     b: Point2
-
-    @staticmethod
-    def of(ax, ay, bx, by) -> "Segment2":
-        return Segment2(Point2.of(ax, ay), Point2.of(bx, by))
 
 
 def pt(p) -> Point2:
@@ -44,10 +36,6 @@ def pt(p) -> Point2:
 def cross(o, a, b):
     """Signed parallelogram area of (a-o) x (b-o)."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def dot(o, a, b):
-    return (a[0] - o[0]) * (b[0] - o[0]) + (a[1] - o[1]) * (b[1] - o[1])
 
 
 def orient(p, q, r) -> int:

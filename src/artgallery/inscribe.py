@@ -5,8 +5,10 @@ every witness that feeds back into exact reasoning is recertified:
 
   * box witnesses are constructed from exact erosions, so their containment
     is exact by construction;
-  * disc and ellipse witnesses are recertified by sampling 720 boundary
-    points and requiring containment margin >= -1e-9;
+  * disc witnesses are certified exactly by the checkers, which test that a
+    rational polygon circumscribing the disc lies in the region;
+  * ellipse witnesses are recertified by sampling 720 boundary points and
+    requiring containment margin >= -1e-9;
   * segment witnesses are recertified by exact segment containment.
 
 A None from a search means the search resolution was exhausted, never a
@@ -24,7 +26,7 @@ import numpy as np
 
 from artgallery.rational import rat, rationalize
 from artgallery.geom.primitives import Point2
-from artgallery.geom.polygon import Region, as_region, point_in_region, region_bbox
+from artgallery.geom.polygon import Region, as_region, locate_in_polygon, point_in_region, region_bbox
 from artgallery.geom.convex import ConvexPolygon, HalfPlane, clip_convex, convex_hull
 from artgallery.visibility import segment_in_polygon
 
@@ -153,19 +155,35 @@ def erode_convex_by_box(convex, w, h) -> ConvexPolygon:
     return clip_convex(seed, offset)
 
 
-def _box_witness_from_erosion(eroded: ConvexPolygon, w, h) -> Box2:
-    anchor = min(eroded.vertices)
-    return Box2(anchor[0], anchor[1], w, h)
-
-
 def _convex_box_scan(c: ConvexPolygon, widths, side_for_width) -> Optional[Box2]:
-    for w in widths:
+    """First box that fits over the width scan, else over a bisection
+    between consecutive scan widths; the box's min corner is the smallest
+    vertex of the exact erosion."""
+
+    def fit(w):
         h = side_for_width(w)
-        if h is None or h <= 0:
-            continue
+        if h <= 0:
+            return None
         eroded = erode_convex_by_box(c, w, h)
-        if not eroded.is_empty():
-            return _box_witness_from_erosion(eroded, w, h)
+        if eroded.is_empty():
+            return None
+        anchor = min(eroded.vertices)
+        return Box2(anchor[0], anchor[1], w, h)
+
+    ws = []
+    for w in widths:
+        ws.append(w)
+        box = fit(w)
+        if box is not None:
+            return box
+    for lo, hi in zip(ws, ws[1:]):
+        for _ in range(24):
+            mid = (lo + hi) / 2
+            box = fit(mid)
+            if box is not None:
+                return box
+            # No gradient to follow; shrink toward the center of the bracket.
+            lo, hi = lo + (mid - lo) / 2, hi - (hi - mid) / 2
     return None
 
 
@@ -204,20 +222,7 @@ def contains_box_of_area(shape, target_area, convex_hint: bool = True, samples: 
                 continue
             yield min(max(wr, a / H), W)
 
-    hit = _convex_box_scan(c, widths(), lambda w: a / w)
-    if hit is not None:
-        return hit
-    # Local refinement: bisect between consecutive scan widths.
-    ws = list(widths())
-    for lo, hi in zip(ws, ws[1:]):
-        for _ in range(24):
-            mid = (lo + hi) / 2
-            eroded = erode_convex_by_box(c, mid, a / mid)
-            if not eroded.is_empty():
-                return _box_witness_from_erosion(eroded, mid, a / mid)
-            # No gradient to follow; shrink toward the center of the bracket.
-            lo, hi = lo + (mid - lo) / 2, hi - (hi - mid) / 2
-    return None
+    return _convex_box_scan(c, widths(), lambda w: a / w)
 
 
 def contains_box_of_axis_sum(shape, axis_sum, convex_hint: bool = True, samples: int = 512) -> Optional[Box2]:
@@ -242,18 +247,7 @@ def contains_box_of_axis_sum(shape, axis_sum, convex_hint: bool = True, samples:
             wr = rationalize(w)
             yield min(max(wr, w_lo), w_hi)
 
-    hit = _convex_box_scan(c, widths(), lambda w: s - w)
-    if hit is not None:
-        return hit
-    ws = list(widths())
-    for lo, hi in zip(ws, ws[1:]):
-        for _ in range(24):
-            mid = (lo + hi) / 2
-            eroded = erode_convex_by_box(c, mid, s - mid)
-            if not eroded.is_empty():
-                return _box_witness_from_erosion(eroded, mid, s - mid)
-            lo, hi = lo + (mid - lo) / 2, hi - (hi - mid) / 2
-    return None
+    return _convex_box_scan(c, widths(), lambda w: s - w)
 
 
 def _nonconvex_box_search(shape, side_for_width, anchors: int = 24, aspects: int = 24) -> Optional[Box2]:
@@ -345,20 +339,6 @@ def max_inscribed_disc(shape) -> Disc:
         raise ValueError("no inscribed disc found; degenerate polygon?")
     r, x, y = best
     return Disc(x, y, r)
-
-
-def disc_contained(shape, disc: Disc, margin: float = 1e-9, samples: int = 720) -> bool:
-    """Recertify a disc witness by sampled boundary containment."""
-    c = _as_convex(shape)
-    rows = _unit_normals(c)
-    for t in range(samples):
-        ang = 2.0 * math.pi * t / samples
-        px = disc.cx + disc.r * math.cos(ang)
-        py = disc.cy + disc.r * math.sin(ang)
-        for a, b, cc in rows:
-            if a * px + b * py - cc > margin:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +492,7 @@ def longest_vwidth_segment(shape, v, convex_hint: bool = True) -> SegmentWitness
         val = (b[0] - a[0]) * vx + (b[1] - a[1]) * vy
         if val < 0:
             break
-        if all(segment_in_polygon(comp, a, b) for comp in region.components[:1]) and _segment_in_region(region, a, b):
+        if _segment_in_region(region, a, b):
             return SegmentWitness(a, b, val, False)
     p = pool[0]
     return SegmentWitness(p, p, rat(0), False)
@@ -520,8 +500,6 @@ def longest_vwidth_segment(shape, v, convex_hint: bool = True) -> SegmentWitness
 
 def _segment_in_region(region: Region, a, b) -> bool:
     for comp in region.components:
-        from artgallery.geom.polygon import locate_in_polygon
-
         if locate_in_polygon(a, comp) != "out" and locate_in_polygon(b, comp) != "out":
             if segment_in_polygon(comp, a, b):
                 return True

@@ -1,20 +1,25 @@
 """Dimension-generic convex-body parametrizations and containment checks.
 
+This module is a lemma checker. It states the parametrization lemmas behind
+the quantitative theorems in any dimension d >= 1 and checks them
+numerically; the theorem checkers and the CLI do not call it, and its callers
+are the tests in tests/test_param.py.
+
 Families map a convex parameter set C into convex bodies D(c) so that
 D(lam*a + (1-lam)*b) is contained in lam*D(a) + (1-lam)*D(b) (Minkowski
 combination). Containment is certified by support-function sampling, not
 exact body arithmetic: ellipsoid Minkowski sums are not ellipsoids, so there
 is no common exact representation to intersect.
 
-Everything here is linear algebra over binary64 (any dimension d >= 1);
-there is no visibility computation in this module.
+Everything here is numpy linear algebra over binary64; there is no
+visibility computation in this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -32,64 +37,17 @@ class DomainViolation(ValueError):
     """Parameter coordinates outside the family's domain C."""
 
 
-# ---------------------------------------------------------------------------
-# Symmetric eigensolver (cyclic Jacobi; deterministic, self-contained)
-
-
-def jacobi_eigh(S: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (w, V) with eigenvalues ascending and orthonormal columns,
-    S @ V == V @ diag(w). Off-diagonal mass is driven below tol * ||S||_F.
-    """
-    A = np.array(S, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(A, A.T, atol=1e-12 * max(1.0, np.abs(A).max())):
-        raise ValueError("matrix must be symmetric")
-    A = 0.5 * (A + A.T)
-    d = A.shape[0]
-    V = np.eye(d)
-    mag = float(np.abs(A).max())
-    if mag == 0.0:
-        return np.zeros(d), V
-    A = A / mag  # keep the squared Frobenius norm finite
-    scale = max(np.linalg.norm(A), 1e-300)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, (A * A).sum() - (np.diag(A) ** 2).sum()))
-        if off <= tol * scale:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                if abs(A[p, q]) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * A[p, q])
-                if abs(theta) > 1e150:  # theta**2 would overflow
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                R = np.eye(d)
-                R[p, p] = R[q, q] = c
-                R[p, q] = s
-                R[q, p] = -s
-                A = R.T @ A @ R
-                V = V @ R
-    order = np.argsort(np.diag(A), kind="stable")
-    return mag * np.diag(A)[order], V[:, order].copy()
-
-
 def _check_spd(A: np.ndarray, name: str = "matrix") -> np.ndarray:
     A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainViolation(f"{name} must be square")
     if not np.allclose(A, A.T, atol=1e-10 * max(1.0, np.abs(A).max())):
         raise DomainViolation(f"{name} must be symmetric")
-    w, _ = jacobi_eigh(A)
+    A = 0.5 * (A + A.T)
+    w = np.linalg.eigvalsh(A)
     if w[0] <= 0:
         raise DomainViolation(f"{name} must be positive definite (min eig {w[0]:g})")
-    return 0.5 * (A + A.T)
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +100,8 @@ class EllipsoidD:
             raise DomainViolation("ellipsoid center must have length d")
         object.__setattr__(self, "A", _check_spd(self.A, "ellipsoid shape"))
 
-    def axis_length_sum(self) -> float:
-        return 2.0 * float(np.trace(self.A))
-
     def volume_det(self) -> float:
-        w, _ = jacobi_eigh(self.A)
-        return float(np.prod(w))
+        return float(np.linalg.det(self.A))
 
 
 Body = Union[BoxD, BallD, EllipsoidD]
@@ -250,8 +204,7 @@ def ellipsoid_project_pi(a, A) -> EllipsoidD:
     """Project the shape onto the det = 1 slice: A -> A / det(A)^(1/d)."""
     A = _check_spd(A, "ellipsoid shape")
     d = A.shape[0]
-    w, _ = jacobi_eigh(A)
-    det = float(np.prod(w))
+    det = float(np.linalg.det(A))
     return EllipsoidD(d, np.array(a, dtype=float), A / det ** (1.0 / d))
 
 
@@ -270,20 +223,9 @@ def polar_decompose(X) -> PolarDecomposition:
         raise ValueError("matrix must be square")
     if abs(np.linalg.det(X)) <= 1e-12:
         raise ValueError("matrix is singular or near-singular")
-    # Scaled Newton iteration for the orthogonal polar factor; determinant
-    # scaling keeps convergence fast even for skewed X. A = X*Q^T is then
-    # symmetric PSD up to roundoff and A*Q reproduces X to machine precision.
-    Q = X.copy()
-    for _ in range(60):
-        g = abs(np.linalg.det(Q)) ** (-1.0 / d)
-        nxt = 0.5 * (g * Q + np.linalg.inv(g * Q).T)
-        if np.abs(nxt - Q).max() <= 1e-14 * max(1.0, np.abs(nxt).max()):
-            Q = nxt
-            break
-        Q = nxt
-    A = X @ Q.T
-    A = (A + A.T) / 2.0
-    return PolarDecomposition(A, Q, X)
+    # X = U S V^T gives Q = U V^T and A = U S U^T.
+    U, s, Vt = np.linalg.svd(X)
+    return PolarDecomposition((U * s) @ U.T, U @ Vt, X)
 
 
 def param_body(point: ParamPoint) -> Body:
@@ -303,8 +245,7 @@ def param_body(point: ParamPoint) -> Body:
     # the Minkowski-combination inclusion unless both dets are exactly 1); it
     # exists for the det = 1 slice and the log-concavity facts.
     A = _check_spd(A, "ellipsoid shape")
-    w, _ = jacobi_eigh(A)
-    if float(np.prod(w)) < 1.0 - 1e-9:
+    if float(np.linalg.det(A)) < 1.0 - 1e-9:
         raise DomainViolation("EllVol shape must have det >= 1")
     return ellipsoid_project_pi(c[:d], A)
 
@@ -447,8 +388,7 @@ def random_param_point(family: str, d: int, rng: np.random.Generator) -> ParamPo
         A = S * (DEFAULT_TRACE / float(np.trace(S)))
         return make_param_point(family, d, center, A)
     if family == "EllVol":
-        w, _ = jacobi_eigh(S)
-        A = S / float(np.prod(w)) ** (1.0 / d)
+        A = S / float(np.linalg.det(S)) ** (1.0 / d)
         A = A * rng.uniform(1.0, 1.5)  # det >= 1 inside the domain
         return make_param_point(family, d, center, A)
     raise ValueError(f"unknown family {family!r}")

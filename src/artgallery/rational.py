@@ -83,30 +83,3 @@ def fmt(value) -> str:
     q = rat(value)
     num, den = (str(Decimal(int(part))) for part in (q.numerator, q.denominator))
     return num if den == "1" else f"{num}/{den}"
-
-
-def numden(value):
-    q = rat(value)
-    return int(q.numerator), int(q.denominator)
-
-
-def isqrt_floor(n: int) -> int:
-    """Floor of the integer square root (exact)."""
-    if n < 0:
-        raise ValueError("negative")
-    import math
-
-    return math.isqrt(n)
-
-
-def sqrt_rat_down(q, max_denominator=10**9):
-    """A rational lower bound for sqrt(q), within 1/max_denominator."""
-    q = rat(q)
-    if q < 0:
-        raise ValueError("negative")
-    import math
-
-    approx = rationalize(math.sqrt(float(q)), max_denominator)
-    while approx * approx > q:
-        approx -= rat(1, max_denominator)
-    return approx

@@ -40,7 +40,7 @@ from artgallery.geom.polygon import (
     locate_in_polygon,
     ring_signed_area,
 )
-from artgallery.geom.convex import ConvexPolygon, convex_hull
+from artgallery.geom.convex import ConvexPolygon
 from artgallery.geom.boolean import merge_collinear, region_boolean
 
 
@@ -123,14 +123,6 @@ class VisibilityRegion:
 
     def area(self):
         return self.region.area()
-
-    def vertex_set(self) -> Tuple[Point2, ...]:
-        seen = []
-        for ring in self.region.rings():
-            seen.extend(ring)
-        for s in self.antennas:
-            seen.extend((s.a, s.b))
-        return tuple(dict.fromkeys(seen))
 
 
 def _ray_events(x, u, edges):
@@ -286,20 +278,6 @@ def visibility_polygon(gallery, x) -> VisibilityRegion:
             if len(loop) >= 3 and ring_signed_area(loop) != 0:
                 comps.append(PolygonWithHoles(SimplePolygon(tuple(loop))))
     return VisibilityRegion(viewpoint=x, region=Region(tuple(comps)), antennas=tuple(antennas))
-
-
-def convex_visibility(gallery, x) -> ConvexPolygon:
-    """Convex hull of the exact visibility region (hull of its vertices)."""
-    if isinstance(gallery, SkeletalGallery):
-        runs = skeletal_visibility(gallery, x)
-        pts = [pt(x)]
-        for s in runs:
-            pts.extend((s.a, s.b))
-        return convex_hull(pts)
-    vis = visibility_polygon(gallery, x)
-    pts = list(vis.vertex_set())
-    pts.append(vis.viewpoint)
-    return convex_hull(pts)
 
 
 def common_visibility(gallery, points, cache=None) -> Region:

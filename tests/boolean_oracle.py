@@ -1,6 +1,7 @@
-"""Ray-casting overlay classifier, kept as a test oracle for region_boolean.
+"""Test oracles for region_boolean: the ray-casting overlay classifier and
+exact region equality.
 
-This is the side classification `region_boolean` used before it classified
+The classifier is the side classification `region_boolean` used before it classified
 subsegments by the edges that cover them: split every pair of edges with no
 bounding-box filter, then sample each side of each subsegment halfway to the
 first subsegment hit by the perpendicular ray and test the sample against
@@ -8,7 +9,7 @@ both operands. It shares only the final ring tracing and nesting with the
 library, so a mismatch points at splitting or classification.
 """
 
-from artgallery.geom.boolean import _OPS, _canonical, _combine, _region_from_darts
+from artgallery.geom.boolean import _OPS, _canonical, _combine, _region_from_darts, region_boolean
 from artgallery.geom.polygon import Region, as_region, point_in_region
 from artgallery.geom.primitives import Point2, segments_intersect
 from artgallery.rational import rat
@@ -96,3 +97,13 @@ def ray_cast_boolean(op, r1, r2) -> Region:
         elif sides["R"] and not sides["L"]:
             darts.append((b, a))
     return _region_from_darts(darts)
+
+
+def region_equal(r1, r2) -> bool:
+    """Exact equality as point sets up to zero-area slivers."""
+    r1, r2 = as_region(r1), as_region(r2)
+    if r1.is_empty() and r2.is_empty():
+        return True
+    u = region_boolean("union", r1, r2)
+    i = region_boolean("intersect", r1, r2)
+    return u.area() == i.area()

@@ -16,11 +16,9 @@ from artgallery.checkers import (
     check_colorful_general,
     check_colorful_plane,
     check_quantitative,
-    gallery_contains,
     halfplane_triple_empty,
     kernel_status,
     search_counterexample,
-    violation_candidates,
 )
 from artgallery.gallery import Gallery, PinchedGallery
 from artgallery.galleries import gen_claim22, gen_empty_kernel, gen_fig1, gen_spider, gen_star
@@ -82,7 +80,7 @@ def test_candidate_default_composition():
     assert c.tags.count("vertex") == 4
     assert c.tags.count("edge-midpoint") == 4
     assert sum(1 for t in c.tags if t.startswith("random")) == 5
-    assert all(gallery_contains(g, p) for p in c.points)
+    assert all(g.contains(p) for p in c.points)
 
 
 def test_candidate_default_deterministic():
@@ -102,14 +100,14 @@ def test_candidate_from_points_validates_membership():
 
 
 def test_gallery_contains_kinds():
-    assert gallery_contains(square_gallery(), pt((2, 2)))
-    assert not gallery_contains(square_gallery(), pt((9, 0)))
+    assert square_gallery().contains(pt((2, 2)))
+    assert not square_gallery().contains(pt((9, 0)))
     ch = chain_gallery()
-    assert gallery_contains(ch, pt((1, 0)))
-    assert not gallery_contains(ch, pt((1, 1)))
+    assert ch.contains(pt((1, 0)))
+    assert not ch.contains(pt((1, 1)))
     sp = gen_spider()
     some_end = sp.segments[0].a
-    assert gallery_contains(sp, some_end)
+    assert sp.contains(some_end)
 
 
 # -- half-plane triples -------------------------------------------------------
@@ -316,7 +314,7 @@ def test_search_counterexample_star_all_consistent():
     reports = search_counterexample("star", budget=6, seed=0)
     assert len(reports) == 6
     assert all(r.classification == "CONSISTENT" for r in reports)
-    assert violation_candidates(reports) == []
+    assert [r for r in reports if r.classification == "THEOREM_VIOLATION_CANDIDATE"] == []
 
 
 def test_search_counterexample_empty_kernel_all_vacuous():

@@ -8,7 +8,9 @@ import pytest
 
 from artgallery import docio
 from artgallery.cli import main
-from artgallery.gallery import SkeletalGallery
+from artgallery.gallery import Gallery, SkeletalGallery
+from artgallery.geom.polygon import PolygonWithHoles
+from artgallery.rational import rat
 
 
 def test_check_generator_with_quantitative_family(tmp_path):
@@ -93,10 +95,20 @@ def test_command_output_is_pinned(case, tmp_path, capsys):
     assert (_sha(out), _sha(svg), stdout) == OUTPUT_PINS[case]
 
 
+def test_kernel_area_past_the_int_str_digit_limit(tmp_path, capsys):
+    side = rat(3**9000 + 1, 3**9000)
+    square = PolygonWithHoles([(0, 0), (side, 0), (side, side), (0, side)])
+    path = tmp_path / "big.json"
+    path.write_text(docio.dumps(docio.gallery_to_document(Gallery(square, name="big"))))
+    assert main(["kernel", str(path)]) == 0
+    assert capsys.readouterr().out == "area ~1 (exact rational has 17179 digits; use -o)\n"
+
+
 # A skeletal gallery has no kernel: every command that needs one exits 2
 # with one message, never 1 with "internal error".
 def _plus_gallery(path):
-    docio.save_gallery(path, SkeletalGallery([((-1, 0), (1, 0)), ((0, -1), (0, 1))], name="plus"))
+    plus = SkeletalGallery([((-1, 0), (1, 0)), ((0, -1), (0, 1))], name="plus")
+    path.write_text(docio.dumps(docio.gallery_to_document(plus)), encoding="utf-8")
     return str(path)
 
 

@@ -1,20 +1,13 @@
-"""Convex polygons, hulls, clipping, half-plane intersection, Minkowski sums."""
+"""Convex polygons, hulls, clipping and intersection."""
 
 import random
-
-import pytest
 
 from artgallery.geom.convex import (
     ConvexPolygon,
     HalfPlane,
-    HalfPlaneEmpty,
-    HalfPlaneUnbounded,
     clip_convex,
     convex_hull,
     convex_intersect,
-    halfplane_intersect,
-    minkowski_sum_convex,
-    support,
 )
 from artgallery.geom.primitives import pt
 from artgallery.rational import rat
@@ -71,53 +64,6 @@ def test_clip_convex():
     assert clipped.area() == 2
     gone = clip_convex(sq, [HalfPlane.of(1, 0, -1)])  # x <= -1
     assert gone.is_empty()
-
-
-def test_halfplane_intersect_square():
-    hps = [
-        HalfPlane.of(1, 0, 2),
-        HalfPlane.of(-1, 0, 0),
-        HalfPlane.of(0, 1, 2),
-        HalfPlane.of(0, -1, 0),
-    ]
-    got = halfplane_intersect(hps)
-    assert got.area() == 4
-
-
-def test_halfplane_intersect_empty_and_unbounded():
-    with pytest.raises(HalfPlaneEmpty):
-        halfplane_intersect([HalfPlane.of(1, 0, 0), HalfPlane.of(-1, 0, -1)])
-    with pytest.raises(HalfPlaneUnbounded):
-        halfplane_intersect([HalfPlane.of(1, 0, 0)])
-
-
-def test_support_function():
-    sq = square()
-    assert support(sq, pt((1, 0))) == 2
-    assert support(sq, pt((1, 1))) == 4
-    assert support(sq, pt((-1, -1))) == 0
-
-
-def test_minkowski_sum_of_squares():
-    a = square(1)
-    b = square(2)
-    ms = minkowski_sum_convex(a, b)
-    assert ms.area() == 9  # (1+2)^2 for axis-aligned squares
-    assert support(ms, pt((1, 0))) == support(a, pt((1, 0))) + support(b, pt((1, 0)))
-
-
-def test_minkowski_support_additivity_random():
-    """h_{A+B} = h_A + h_B in every direction (exact)."""
-    rng = random.Random(3)
-    for _ in range(10):
-        a = convex_hull([pt((rng.randrange(-5, 6), rng.randrange(-5, 6))) for _ in range(8)])
-        b = convex_hull([pt((rng.randrange(-5, 6), rng.randrange(-5, 6))) for _ in range(8)])
-        if a.is_empty() or b.is_empty():
-            continue
-        ms = minkowski_sum_convex(a, b)
-        for d in [(1, 0), (0, 1), (-1, 2), (3, -4), (-2, -7)]:
-            v = pt(d)
-            assert support(ms, v) == support(a, v) + support(b, v)
 
 
 def test_intersection_commutes_and_is_subset():

@@ -4,15 +4,17 @@ import math
 import random
 
 from artgallery.geom.convex import ConvexPolygon, convex_hull
+from artgallery.geom.polygon import Region
 from artgallery.geom.primitives import pt
 from artgallery.inscribe import (
     Box2,
     Disc,
     PolytopeNormBall,
+    _as_convex,
+    _unit_normals,
     contains_box,
     contains_box_of_area,
     contains_box_of_axis_sum,
-    disc_contained,
     erode_convex_by_box,
     longest_norm_segment,
     longest_vwidth_segment,
@@ -20,6 +22,19 @@ from artgallery.inscribe import (
     mvie,
 )
 from artgallery.rational import rat
+
+
+def disc_contained(shape, disc: Disc, margin: float = 1e-9, samples: int = 720) -> bool:
+    """Sampled boundary containment of a disc in a convex shape."""
+    rows = _unit_normals(_as_convex(shape))
+    for t in range(samples):
+        ang = 2.0 * math.pi * t / samples
+        px = disc.cx + disc.r * math.cos(ang)
+        py = disc.cy + disc.r * math.sin(ang)
+        for a, b, cc in rows:
+            if a * px + b * py - cc > margin:
+                return False
+    return True
 
 
 def unit_square():
@@ -121,6 +136,14 @@ def test_longest_vwidth_segment_diagonal_direction():
     # max <x - y, (1,1)> over the square is attained corner to corner.
     assert sw.value == 2
     assert sw.certified
+
+
+def test_longest_vwidth_segment_nonconvex_searches_every_component():
+    left = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    right = [(5, 0), (9, 0), (9, 1), (5, 1)]
+    sw = longest_vwidth_segment(Region((left, right)), pt((1, 0)), convex_hint=False)
+    assert sw.value == 4
+    assert not sw.certified
 
 
 def test_longest_norm_segment_l1():

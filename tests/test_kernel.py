@@ -2,17 +2,13 @@
 
 import random
 
+from kernel_oracle import kernel_brute, kernel_conv_characterization, point_in_kernel
+
 from artgallery.galleries import gen_empty_kernel, gen_star
 from artgallery.gallery import Gallery
 from artgallery.geom.polygon import PolygonWithHoles
 from artgallery.geom.primitives import pt
-from artgallery.kernel import (
-    kernel_brute,
-    kernel_conv_characterization,
-    kernel_halfplanes,
-    kernel_simple,
-    point_in_kernel,
-)
+from artgallery.kernel import kernel_halfplanes, kernel_simple
 from artgallery.rational import rat
 from artgallery.visibility import sees
 

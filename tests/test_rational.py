@@ -1,11 +1,10 @@
-"""Exact rational layer: construction, formatting, rounding helpers."""
+"""Exact rational layer: construction, formatting, rationalization."""
 
 import math
-import random
 
 import pytest
 
-from artgallery.rational import fmt, isqrt_floor, numden, rat, rationalize, sqrt_rat_down
+from artgallery.rational import fmt, rat, rationalize
 
 
 def test_rat_from_string():
@@ -51,34 +50,9 @@ def test_fmt_round_trips_past_the_int_str_digit_limit():
     assert rat(num) == q.numerator and rat(" " + den + " ") == q.denominator
 
 
-def test_numden():
-    assert numden(rat("3/7")) == (3, 7)
-    assert numden(rat(2)) == (2, 1)
-
-
 def test_rationalize_recovers_simple_fractions():
     assert rationalize(1.0 / 3.0) == rat(1, 3)
     assert rationalize(math.pi, 1000) == rat(355, 113)
-
-
-def test_isqrt_floor():
-    assert isqrt_floor(0) == 0
-    assert isqrt_floor(15) == 3
-    assert isqrt_floor(16) == 4
-    assert isqrt_floor(17) == 4
-    n = 10**40 + 12345
-    r = isqrt_floor(n)
-    assert r * r <= n < (r + 1) * (r + 1)
-
-
-def test_sqrt_rat_down_is_lower_bound():
-    """sqrt_rat_down(q)**2 <= q, and the gap is small."""
-    rng = random.Random(7)
-    for _ in range(50):
-        q = rat(rng.randrange(1, 10**6), rng.randrange(1, 10**3))
-        s = sqrt_rat_down(q)
-        assert s * s <= q
-        assert float(q) - float(s) ** 2 < 1e-8 * max(1.0, float(q))
 
 
 def test_exact_arithmetic_no_drift():

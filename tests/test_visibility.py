@@ -6,19 +6,19 @@ and may graze reflex corners.
 
 import random
 
+from kernel_oracle import convex_visibility
+
 from artgallery.gallery import Gallery, PinchedGallery, SkeletalGallery
 from artgallery.galleries import gen_fig1, gen_star
 from artgallery.geom.polygon import (
     PolygonWithHoles,
     locate_in_polygon,
     locate_in_region,
-    region_area,
 )
 from artgallery.geom.primitives import Segment2, pt
 from artgallery.rational import rat
 from artgallery.visibility import (
     common_visibility,
-    convex_visibility,
     pinched_common_visibility,
     pinched_sees,
     sees,
@@ -54,7 +54,7 @@ def test_visibility_polygon_l_corner():
     vr = visibility_polygon(g, pt((2, 1)))
     # From (2,1) the upper arm is hidden behind the reflex corner except for
     # the zero-width sliver along y = 1.
-    assert region_area(vr.region) == 2
+    assert vr.region.area() == 2
     assert vr.viewpoint == pt((2, 1))
     assert vr.contains(pt((0, 0)))
     assert not vr.contains(pt((rat(1, 2), rat(3, 2))))
@@ -86,14 +86,14 @@ def test_common_visibility_two_corners():
     cr = common_visibility(g, [pt((2, 0)), pt((0, 2))])
     # Each corner sees its own arm fully; the common part is the square
     # [0,1]^2 plus slivers that carry no area.
-    assert region_area(cr) == 2
+    assert cr.area() == 2
 
 
 def test_star_visibility_from_kernel_point_is_everything():
     poly = gen_star(seed=5, n_vertices=10)
     g = Gallery(polygon=PolygonWithHoles(poly.vertices, []), classes=(), name="star")
     vr = visibility_polygon(g, pt((0, 0)))
-    assert region_area(vr.region) == g.polygon.area()
+    assert vr.region.area() == g.polygon.area()
 
 
 def t_skeleton():
