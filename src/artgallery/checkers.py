@@ -552,7 +552,7 @@ def _witness_in_shape(shape, family, cfg, convex_hint: bool):
         if convex_hint:
             return "fails", None, None  # exact optimum over a convex shape
         vx, vy = rat(cfg.direction[0]), rat(cfg.direction[1])
-        vals = [p[0] * vx + p[1] * vy for p in _region_vertices(as_region(shape))]
+        vals = [p[0] * vx + p[1] * vy for ring in as_region(shape).rings() for p in ring]
         if vals and max(vals) - min(vals) < threshold - tol:
             return "fails", None, None  # the region's own width is too small
         return "undetermined", None, "vwidth-vertex-pool"
@@ -564,7 +564,7 @@ def _witness_in_shape(shape, family, cfg, convex_hint: bool):
             return "holds", seg, None
         if convex_hint:
             return "fails", None, None
-        pool = _region_vertices(as_region(shape))
+        pool = [v for ring in as_region(shape).rings() for v in ring]
         bound = max(
             (cfg.norm_ball.norm((b[0] - a[0], b[1] - a[1]))
              for a, b in itertools.combinations(pool, 2)),
@@ -574,14 +574,6 @@ def _witness_in_shape(shape, family, cfg, convex_hint: bool):
             return "fails", None, None  # endpoints live on region vertices' hull
         return "undetermined", None, "norm-vertex-pool"
     raise ValueError(f"unknown witness family {family!r}")
-
-
-def _region_vertices(region: Region) -> List[Point2]:
-    out: List[Point2] = []
-    for comp in region.components:
-        for ring in (comp.outer,) + tuple(comp.holes):
-            out.extend(ring.vertices)
-    return out
 
 
 def _region_as_convex(region: Region) -> Optional[ConvexPolygon]:

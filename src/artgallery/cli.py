@@ -111,7 +111,7 @@ def cmd_kernel(args) -> int:
 # check
 
 
-def _load_candidates(gallery, spec: Optional[str], seed: int) -> Optional[CandidateSet]:
+def _load_candidates(gallery, spec: Optional[str]) -> Optional[CandidateSet]:
     if spec is None or spec == "default":
         return None
     if spec.startswith("class:"):
@@ -160,7 +160,7 @@ def _check_config(args) -> CheckConfig:
 def _run_check(gallery, args, cfg: CheckConfig):
     theorem = args.theorem
     if theorem == "classic":
-        cand = _load_candidates(gallery, args.candidates, args.seed)
+        cand = _load_candidates(gallery, args.candidates)
         return checkers.check_classic(gallery, cand, cfg)
     if theorem == "colorful-plane":
         classes = _class_selection(gallery, args.classes)
@@ -173,7 +173,7 @@ def _run_check(gallery, args, cfg: CheckConfig):
     if theorem in QUANT_FAMILIES:
         if args.threshold is None:
             raise InputError(f"--theorem {theorem} needs --threshold")
-        cand = _load_candidates(gallery, args.candidates, args.seed)
+        cand = _load_candidates(gallery, args.candidates)
         return checkers.check_quantitative(gallery, cand, cfg)
     raise InputError(f"unknown theorem {theorem!r}")
 

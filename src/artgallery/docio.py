@@ -20,7 +20,7 @@ from artgallery.gallery import Gallery, PinchedGallery, SkeletalGallery, as_poly
 from artgallery.geom.primitives import Point2
 from artgallery.geom.polygon import PolygonWithHoles, Region
 from artgallery.geom.convex import ConvexPolygon
-from artgallery.visibility import SkeletalCommonVisibility
+from artgallery.visibility import PinchedCommonVisibility, SkeletalCommonVisibility
 from artgallery import inscribe
 
 FORMAT_VERSION = 1
@@ -85,19 +85,24 @@ def document_to_gallery(doc: dict):
     if version != FORMAT_VERSION:
         raise DocumentError(f"unsupported format_version {version!r}")
     kind = doc.get("kind")
-    classes = _parse_classes(doc.get("classes", {}))
-    name = doc.get("name", "")
-    if kind == "skeletal":
-        segs = [(_parse_point(a), _parse_point(b)) for a, b in doc["segments"]]
-        return SkeletalGallery(segs, classes=classes, name=name).validate()
-    if kind == "pinched":
-        comps = [[_parse_point(p) for p in ring] for ring in doc["components"]]
-        return PinchedGallery(comps, classes=classes, name=name).validate()
-    if kind == "polygonal":
-        outer = [_parse_point(p) for p in doc["outer"]]
-        holes = tuple(tuple(_parse_point(p) for p in h) for h in doc.get("holes", []))
-        poly = PolygonWithHoles(outer, holes)
-        return Gallery(poly, classes=classes, name=name).validate()
+    try:
+        classes = _parse_classes(doc.get("classes", {}))
+        name = doc.get("name", "")
+        if kind == "skeletal":
+            segs = [(_parse_point(a), _parse_point(b)) for a, b in doc["segments"]]
+            return SkeletalGallery(segs, classes=classes, name=name).validate()
+        if kind == "pinched":
+            comps = [[_parse_point(p) for p in ring] for ring in doc["components"]]
+            return PinchedGallery(comps, classes=classes, name=name).validate()
+        if kind == "polygonal":
+            outer = [_parse_point(p) for p in doc["outer"]]
+            holes = tuple(tuple(_parse_point(p) for p in h) for h in doc.get("holes", []))
+            poly = PolygonWithHoles(outer, holes)
+            return Gallery(poly, classes=classes, name=name).validate()
+    except KeyError as exc:
+        raise DocumentError(f"{kind} gallery document has no {exc}") from exc
+    except TypeError as exc:
+        raise DocumentError(f"malformed {kind} gallery document: {exc}") from exc
     raise DocumentError(f"unknown gallery kind {kind!r}")
 
 
@@ -171,7 +176,7 @@ def shape_to_document(shape) -> dict:
         }
     if isinstance(shape, tuple) and len(shape) == 2 and isinstance(shape[0], str):
         return {"type": "value", "label": shape[0], "value": fmt(shape[1])}
-    if hasattr(shape, "full") and hasattr(shape, "gallery"):  # pinched visibility
+    if isinstance(shape, PinchedCommonVisibility):
         return {
             "type": "pinched-visibility",
             "components": list(shape.full),

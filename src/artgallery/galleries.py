@@ -256,7 +256,7 @@ def f_volume(dirs, M=10, Mp=2, disc_poly_verts: int = 720, *, bprime=None, mdisc
     return clip_convex(mdisc.vertices, planes).area()
 
 
-def _f_float(angles, M, Mp, cos_sin, r_mp) -> float:
+def _f_float(angles, M, cos_sin, r_mp) -> float:
     """Float estimate of f_volume on true circles (search objective only)."""
     ring = [(r_mp * c, r_mp * s) for c, s in cos_sin]
     r_b = 1.0 / math.sqrt(math.pi)
@@ -324,7 +324,7 @@ def estimate_m(
     Mf, Mpf = float(M), float(Mp)
 
     def obj(angles):
-        return _f_float(angles, Mf, Mpf, cos_sin, Mpf)
+        return _f_float(angles, Mf, cos_sin, Mpf)
 
     evals = 0
     best_angles = tuple(2.0 * math.pi * k / n for k in range(n))

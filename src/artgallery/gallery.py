@@ -13,7 +13,9 @@ hold:
   * ``random_points(rng, count)``: up to ``count`` seeded points of the
     gallery, drawn with 2^-20-grid parameters;
   * ``common_visibility(points, cache=None)``: the exact common visibility
-    of finitely many viewpoints; every result answers ``is_empty()``;
+    of finitely many viewpoints; every result answers ``is_empty()``.
+    ``cache``, for every kind, maps each viewpoint to its visibility set, so
+    that a caller judging many tuples computes each viewpoint's once;
   * ``kernel_status()``: ``(verdict, witness, certified, qualifier)`` for
     "the kernel is nonempty", decided exactly; a skeletal gallery raises
     :class:`NotAreal`;
@@ -190,7 +192,7 @@ class SkeletalGallery(GalleryKind):
     def common_visibility(self, points, cache=None):
         from artgallery import visibility
 
-        return visibility.skeletal_common_visibility(self, points)
+        return visibility.skeletal_common_visibility(self, points, cache)
 
     def kernel_status(self):
         raise NotAreal("kernel is defined for areal galleries only")
@@ -296,7 +298,7 @@ class PinchedGallery(GalleryKind):
     def common_visibility(self, points, cache=None):
         from artgallery import visibility
 
-        return visibility.pinched_common_visibility(self, points)
+        return visibility.pinched_common_visibility(self, points, cache)
 
     def kernel_status(self):
         if len(self.components) == 1:

@@ -4,6 +4,11 @@ Visibility is closed: x sees y iff the closed segment [x, y] stays inside the
 closed gallery, so grazing contact with the boundary (sliding along a wall,
 passing exactly through a reflex corner) does not block sight.
 
+Skeletal and pinched galleries are finite unions of closed convex pieces
+(segments; convex polygons glued at points), and their visibility is decided
+by interval cover along lines; see the section that handles them. The rest
+of this docstring is about polygonal galleries.
+
 The visibility region of a viewpoint is star-shaped but can be degenerate in
 two ways that both occur in legitimate galleries and are represented exactly:
 
@@ -40,7 +45,6 @@ from artgallery.geom.polygon import (
     locate_in_polygon,
     ring_signed_area,
 )
-from artgallery.geom.convex import ConvexPolygon
 from artgallery.geom.boolean import merge_collinear, region_boolean
 
 
@@ -280,6 +284,19 @@ def visibility_polygon(gallery, x) -> VisibilityRegion:
     return VisibilityRegion(viewpoint=x, region=Region(tuple(comps)), antennas=tuple(antennas))
 
 
+def _views(points, view, cache):
+    """Each viewpoint's visibility, in order and lazily: `view(p)` runs only
+    for a viewpoint that `cache` (viewpoint -> visibility) does not hold."""
+    points = [pt(p) for p in points]
+    if not points:
+        raise ValueError("need at least one viewpoint")
+    cache = {} if cache is None else cache
+    for p in points:
+        if p not in cache:
+            cache[p] = view(p)
+        yield cache[p]
+
+
 def common_visibility(gallery, points, cache=None) -> Region:
     """Exact intersection of the viewpoints' visibility regions.
 
@@ -288,115 +305,174 @@ def common_visibility(gallery, points, cache=None) -> Region:
     to their visibility regions, so that a caller enumerating many tuples
     computes each visibility polygon once.
     """
-    points = [pt(p) for p in points]
-    if not points:
-        raise ValueError("need at least one viewpoint")
-    cache = {} if cache is None else cache
     acc: Optional[Region] = None
-    for p in points:
-        vis = cache.get(p)
-        if vis is None:
-            vis = cache[p] = visibility_polygon(gallery, p).region
+    for vis in _views(points, lambda p: visibility_polygon(gallery, p).region, cache):
         acc = vis if acc is None else region_boolean("intersect", acc, vis)
         if acc.is_empty():
-            return acc
+            break
     return acc
 
 
 # ---------------------------------------------------------------------------
-# Skeletal (segment union) visibility
+# Skeletal and pinched galleries: unions of closed convex pieces
+#
+# A skeletal gallery is a union of segments; a pinched one is a union of
+# convex polygons glued at single points. A closed convex piece meets a line
+# in a closed interval, so x sees y exactly when the pieces' intervals on the
+# line through x and y cover [x, y]. Every visibility set below comes from
+# that cover, and each is given as (indices of whole pieces, segments):
+#
+#   * skeletal: no whole pieces; on each gallery line through x, the covered
+#     run that contains x;
+#   * pinched: the components that contain x, and beyond them segments along
+#     the rays through the pinch points, since any sightline between two
+#     components passes through a pinch point.
 
 
-def _point_on_skeleton(skel: SkeletalGallery, p) -> bool:
-    return any(on_segment(p, s.a, s.b) for s in skel.segments)
+def _trace(piece, x, d, lo=None, hi=None):
+    """Exact {t in [lo, hi] : x + t*d in piece} as (t0, t1), or None if empty.
+
+    `piece` is a Segment2 or a ConvexPolygon and d is nonzero; a bound of
+    None leaves that side open (the piece is bounded, so the trace is not).
+    A segment that crosses the line traces its single crossing point.
+    """
+    lows = [] if lo is None else [lo]
+    highs = [] if hi is None else [hi]
+    if isinstance(piece, Segment2):
+        wa = (piece.a[0] - x[0], piece.a[1] - x[1])
+        wb = (piece.b[0] - x[0], piece.b[1] - x[1])
+        ca = d[0] * wa[1] - d[1] * wa[0]  # sides of the line that a and b lie on
+        cb = d[0] * wb[1] - d[1] * wb[0]
+        if ca == 0 and cb == 0:
+            dd = d[0] * d[0] + d[1] * d[1]
+            ta = (wa[0] * d[0] + wa[1] * d[1]) / dd
+            tb = (wb[0] * d[0] + wb[1] * d[1]) / dd
+            lows.append(min(ta, tb))
+            highs.append(max(ta, tb))
+        elif ca * cb > 0:
+            return None
+        else:
+            t = (wa[0] * wb[1] - wa[1] * wb[0]) / (cb - ca)
+            lows.append(t)
+            highs.append(t)
+    else:
+        for hp in piece.halfplanes():
+            num = hp.c - (hp.a * x[0] + hp.b * x[1])
+            den = hp.a * d[0] + hp.b * d[1]
+            if den > 0:
+                highs.append(num / den)
+            elif den < 0:
+                lows.append(num / den)
+            elif num < 0:
+                return None
+    t0, t1 = max(lows), min(highs)
+    return (t0, t1) if t0 <= t1 else None
+
+
+def _merge(intervals):
+    """Disjoint closed intervals, in order, whose union is that of `intervals`."""
+    merged = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def _cover(pieces, a, b):
+    """Merged traces of the pieces on [a, b], as t-intervals of [0, 1] along
+    a + t*(b - a); for a == b, the trace of the point a, at t = 0."""
+    d, hi = ((b[0] - a[0], b[1] - a[1]), 1) if a != b else ((1, 0), 0)
+    return _merge(iv for piece in pieces if (iv := _trace(piece, a, d, 0, hi)) is not None)
+
+
+def _covered(pieces, a, b) -> bool:
+    """The pieces cover the closed segment [a, b] (the point a if a == b)."""
+    return _cover(pieces, a, b) == [(0, 0 if a == b else 1)]
+
+
+def _at(x, d, t) -> Point2:
+    return Point2(x[0] + t * d[0], x[1] + t * d[1])
+
+
+def _sees(gallery, pieces, x, y) -> bool:
+    """Exact closed visibility on a union of convex pieces: they cover [x, y]."""
+    x, y = pt(x), pt(y)
+    if not gallery.contains(x):
+        raise NotInGallery(f"viewpoint {x} not in gallery")
+    if not gallery.contains(y):
+        raise NotInGallery(f"target {y} not in gallery")
+    return _covered(pieces, x, y)
 
 
 def skeletal_sees(skel: SkeletalGallery, x, y) -> bool:
-    """Exact: [x, y] is covered by gallery segments collinear with it."""
-    x, y = pt(x), pt(y)
-    if not _point_on_skeleton(skel, x):
-        raise NotInGallery(f"viewpoint {x} not on skeleton")
-    if not _point_on_skeleton(skel, y):
-        raise NotInGallery(f"target {y} not on skeleton")
-    if x == y:
-        return True
-    intervals = []
-    for s in skel.segments:
-        if cross(x, y, s.a) != 0 or cross(x, y, s.b) != 0:
-            continue
-        ta = _segment_param(x, y, s.a)
-        tb = _segment_param(x, y, s.b)
-        if ta > tb:
-            ta, tb = tb, ta
-        if tb < 0 or ta > 1:
-            continue
-        intervals.append((max(ta, rat(0)), min(tb, rat(1))))
-    if not intervals:
-        return False
-    intervals.sort()
-    reach = rat(0)
-    for lo, hi in intervals:
-        if lo > reach:
-            return False
-        reach = max(reach, hi)
-        if reach >= 1:
-            return True
-    return reach >= 1
+    """Exact closed visibility on a skeletal gallery."""
+    return _sees(skel, skel.segments, x, y)
+
+
+def pinched_sees(gallery: PinchedGallery, x, y) -> bool:
+    """Exact closed visibility on a pinched gallery."""
+    return _sees(gallery, gallery.components, x, y)
+
+
+def _clip(seg: Segment2, pieces, segs: List[Segment2], pts: List[Point2]) -> None:
+    """Append the parts of seg inside the pieces: subsegments to segs,
+    isolated points to pts, in order along seg."""
+    a, b = seg
+    d = (b[0] - a[0], b[1] - a[1])
+    for lo, hi in _cover(pieces, a, b):
+        if lo == hi:
+            pts.append(_at(a, d, lo))
+        else:
+            segs.append(Segment2(*sorted((_at(a, d, lo), _at(a, d, hi)))))
+
+
+def _fold(views, pieces):
+    """Intersect visibility sets given as (indices of whole pieces, segments).
+
+    Returns (whole pieces, segments, isolated points) in canonical form: no
+    segment or point lies in a surviving whole piece, and no point lies on a
+    surviving segment.
+    """
+    full, segs = next(views)
+    full, segs, pts = set(full), list(segs), []
+    for vis_full, vis_segs in views:
+        seen = [pieces[i] for i in vis_full] + list(vis_segs)
+        whole = [pieces[i] for i in full]
+        new_segs: List[Segment2] = []
+        new_pts: List[Point2] = []
+        for s in segs:
+            _clip(s, seen, new_segs, new_pts)
+        for s in vis_segs:
+            _clip(s, whole, new_segs, new_pts)
+        new_pts += [p for p in pts if _covered(seen, p, p)]
+        full &= set(vis_full)
+        segs, pts = list(dict.fromkeys(new_segs)), list(dict.fromkeys(new_pts))
+        if not (full or segs or pts):
+            break
+    whole = [pieces[i] for i in full]
+    segs = [s for s in segs if not _covered(whole, s.a, s.b)]
+    pts = [p for p in pts if not _covered(whole + segs, p, p)]
+    return tuple(sorted(full)), tuple(segs), tuple(pts)
 
 
 def skeletal_visibility(skel: SkeletalGallery, x) -> Tuple[Segment2, ...]:
-    """Visible set from x as maximal covered subsegments through x.
-
-    The visible set of a skeletal gallery is the union, over gallery lines
-    through x, of the maximal covered run containing x (plus x itself).
-    """
+    """Visible set from x: on each gallery line through x, the maximal run of
+    its segments that contains x, oriented along the line's first segment."""
     x = pt(x)
-    if not _point_on_skeleton(skel, x):
-        raise NotInGallery(f"viewpoint {x} not on skeleton")
-    lines = []  # one representative direction per line through x
+    if not skel.contains(x):
+        raise NotInGallery(f"viewpoint {x} not in gallery")
+    lines = {}  # slope -> (direction, the gallery segments on that line through x)
     for s in skel.segments:
-        if cross(s.a, s.b, x) != 0:
-            continue
-        d = (s.b[0] - s.a[0], s.b[1] - s.a[1])
-        key = None
-        for existing in lines:
-            if existing[0] * d[1] - existing[1] * d[0] == 0:
-                key = existing
-                break
-        if key is None:
-            lines.append(d)
+        if cross(s.a, s.b, x) == 0:
+            d = (s.b[0] - s.a[0], s.b[1] - s.a[1])
+            lines.setdefault(d[1] / d[0] if d[0] else None, (d, []))[1].append(s)
     runs = []
-    for d in lines:
-        # Collect covered intervals along the line x + t*d.
-        dd = d[0] * d[0] + d[1] * d[1]
-        ivals = []
-        for s in skel.segments:
-            if cross(x, Point2(x[0] + d[0], x[1] + d[1]), s.a) != 0:
-                continue
-            if cross(x, Point2(x[0] + d[0], x[1] + d[1]), s.b) != 0:
-                continue
-            ta = ((s.a[0] - x[0]) * d[0] + (s.a[1] - x[1]) * d[1]) / dd
-            tb = ((s.b[0] - x[0]) * d[0] + (s.b[1] - x[1]) * d[1]) / dd
-            if ta > tb:
-                ta, tb = tb, ta
-            ivals.append((ta, tb))
-        ivals.sort()
-        # Merge and keep the run containing t = 0.
-        merged = []
-        for lo, hi in ivals:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        for lo, hi in merged:
+    for d, segs in lines.values():
+        for lo, hi in _merge(_trace(s, x, d) for s in segs):
             if lo <= 0 <= hi:
-                runs.append(
-                    Segment2(
-                        Point2(x[0] + lo * d[0], x[1] + lo * d[1]),
-                        Point2(x[0] + hi * d[0], x[1] + hi * d[1]),
-                    )
-                )
-                break
+                runs.append(Segment2(_at(x, d, lo), _at(x, d, hi)))
     return tuple(runs)
 
 
@@ -411,153 +487,35 @@ class SkeletalCommonVisibility(NamedTuple):
         return not self.points and not self.segments
 
 
-def skeletal_common_visibility(skel: SkeletalGallery, points) -> SkeletalCommonVisibility:
-    """Exact common visibility of viewpoints on a skeletal gallery."""
-    points = [pt(p) for p in points]
-    if not points:
-        raise ValueError("need at least one viewpoint")
-    run_sets = [skeletal_visibility(skel, p) for p in points]
-    # Intersect run unions pairwise: runs are segments, so the intersection
-    # stays a finite union of segments and points.
-    cur_segs = [(s.a, s.b) for s in run_sets[0]]
-    cur_pts: List[Point2] = []
-    for runs in run_sets[1:]:
-        next_segs = []
-        next_pts = []
-        for a, b in cur_segs:
-            for s in runs:
-                hit = segments_intersect(a, b, s.a, s.b)
-                if hit is None:
-                    continue
-                if hit[0] == "overlap":
-                    next_segs.append((hit[1], hit[2]))
-                else:
-                    next_pts.append(hit[1])
-        for p in cur_pts:
-            if any(on_segment(p, s.a, s.b) for s in runs):
-                next_pts.append(p)
-        cur_segs = next_segs
-        cur_pts = list(dict.fromkeys(next_pts))
-        if not cur_segs and not cur_pts:
-            break
-    # Drop points already covered by segments.
-    seg_objs = [Segment2(a, b) for a, b in cur_segs]
-    lone = [p for p in cur_pts if not any(on_segment(p, s.a, s.b) for s in seg_objs)]
-    return SkeletalCommonVisibility(tuple(dict.fromkeys(lone)), tuple(seg_objs))
+def skeletal_common_visibility(skel: SkeletalGallery, points, cache=None) -> SkeletalCommonVisibility:
+    """Exact common visibility of viewpoints on a skeletal gallery; `cache`
+    maps viewpoints to their visibility sets."""
+    views = _views(points, lambda p: ((), skeletal_visibility(skel, p)), cache)
+    _, segments, lone = _fold(views, ())
+    return SkeletalCommonVisibility(lone, segments)
 
 
-# ---------------------------------------------------------------------------
-# Pinched galleries (chains of convex pieces glued at single points)
-#
-# Any sightline crossing between components must pass through a pinch point,
-# so visibility beyond the viewpoint's own components is one-dimensional:
-# segments along rays through pinch points. That keeps everything exact.
-
-
-def _convex_param_interval(comp: ConvexPolygon, x: Point2, d, lo, hi):
-    """Exact {t in [lo, hi] : x + t*d in comp} for convex comp (None = empty).
-
-    hi may be None for an unbounded ray; the result is clamped by the
-    component, which is bounded.
-    """
-    lo = rat(lo)
-    hi = None if hi is None else rat(hi)
-    for hp in comp.halfplanes():
-        num = hp.c - (hp.a * x[0] + hp.b * x[1])
-        den = hp.a * d[0] + hp.b * d[1]
-        if den == 0:
-            if num < 0:
-                return None
-        elif den > 0:
-            t = num / den
-            if hi is None or t < hi:
-                hi = t
-        else:
-            t = num / den
-            if t > lo:
-                lo = t
-        if hi is not None and lo > hi:
-            return None
-    if hi is None:
-        raise ValueError("unbounded component")
-    return (lo, hi)
-
-
-def _merged_prefix(intervals, start):
-    """End of the merged closed interval containing `start`."""
-    covered = rat(start)
-    for lo, hi in sorted(intervals):
-        if lo > covered:
-            break
-        if hi > covered:
-            covered = hi
-    return covered
-
-
-def pinched_sees(gallery: PinchedGallery, x, y) -> bool:
-    """Exact closed visibility on a pinched gallery via interval cover."""
-    x, y = pt(x), pt(y)
-    if not gallery.contains(x):
-        raise NotInGallery(f"viewpoint {x} not in gallery")
-    if not gallery.contains(y):
-        raise NotInGallery(f"target {y} not in gallery")
-    if x == y:
-        return True
-    d = (y[0] - x[0], y[1] - x[1])
-    intervals = []
-    for comp in gallery.components:
-        iv = _convex_param_interval(comp, x, d, 0, 1)
-        if iv is not None:
-            intervals.append(iv)
-    return _merged_prefix(intervals, 0) >= 1
-
-
-@dataclass(frozen=True)
-class PinchedVisibility:
-    """Visibility set on a pinched gallery: whole components plus segments."""
-
-    viewpoint: Point2
-    full: Tuple[int, ...]
-    segments: Tuple[Segment2, ...]
-    gallery: PinchedGallery
-
-    def contains(self, p) -> bool:
-        p = pt(p)
-        if any(self.gallery.components[i].contains(p) for i in self.full):
-            return True
-        return any(on_segment(p, s.a, s.b) for s in self.segments)
-
-
-def pinched_visibility(gallery: PinchedGallery, x) -> PinchedVisibility:
-    """Exact visibility structure of a viewpoint on a pinched gallery."""
+def pinched_visibility(gallery: PinchedGallery, x):
+    """Exact visibility set of x on a pinched gallery: (indices of the whole
+    components x sees, segments)."""
     x = pt(x)
     full = gallery.component_indices(x)
     if not full:
         raise NotInGallery(f"viewpoint {x} not in gallery")
-    full_set = set(full)
     segments: List[Segment2] = []
     for P in gallery.pinch_points():
         if P == x:
             continue
         d = (P[0] - x[0], P[1] - x[1])
-        ray = [
-            _convex_param_interval(comp, x, d, 0, None)
-            for comp in gallery.components
-        ]
-        tmax = _merged_prefix([iv for iv in ray if iv is not None], 0)
+        ray = [_trace(comp, x, d, 0) for comp in gallery.components]
+        tmax = _merge(iv for iv in ray if iv is not None)[0][1]
         for j, iv in enumerate(ray):
-            if j in full_set or iv is None:
+            if j in full or iv is None or iv[0] > tmax:
                 continue
-            t0, t1 = iv
-            if t0 > tmax:
-                continue
-            t1 = min(t1, tmax)
-            a = Point2(x[0] + t0 * d[0], x[1] + t0 * d[1])
-            b = Point2(x[0] + t1 * d[0], x[1] + t1 * d[1])
-            seg = Segment2(min(a, b), max(a, b))
+            seg = Segment2(*sorted((_at(x, d, iv[0]), _at(x, d, min(iv[1], tmax)))))
             if seg not in segments:
                 segments.append(seg)
-    return PinchedVisibility(x, full, tuple(segments), gallery)
+    return full, tuple(segments)
 
 
 @dataclass(frozen=True)
@@ -575,105 +533,9 @@ class PinchedCommonVisibility:
     def area(self):
         return sum((self.gallery.components[i].area() for i in self.full), rat(0))
 
-    def contains(self, p) -> bool:
-        p = pt(p)
-        if any(self.gallery.components[i].contains(p) for i in self.full):
-            return True
-        if any(on_segment(p, s.a, s.b) for s in self.segments):
-            return True
-        return p in self.points
 
-
-def _param_along(a: Point2, d, p: Point2):
-    if d[0] != 0:
-        return (p[0] - a[0]) / d[0]
-    return (p[1] - a[1]) / d[1]
-
-
-def _clip_segment_to_vis(seg: Segment2, vis: PinchedVisibility, gallery: PinchedGallery):
-    """Pieces of seg inside vis, as (subsegments, isolated points)."""
-    a, b = seg.a, seg.b
-    if a == b:
-        return ([], [a]) if vis.contains(a) else ([], [])
-    d = (b[0] - a[0], b[1] - a[1])
-    intervals = []
-    for i in vis.full:
-        iv = _convex_param_interval(gallery.components[i], a, d, 0, 1)
-        if iv is not None:
-            intervals.append(iv)
-    for vs in vis.segments:
-        hit = segments_intersect(a, b, vs.a, vs.b)
-        if hit is None:
-            continue
-        if hit[0] == "overlap":
-            t0, t1 = _param_along(a, d, hit[1]), _param_along(a, d, hit[2])
-            intervals.append((min(t0, t1), max(t0, t1)))
-        else:
-            t = _param_along(a, d, hit[1])
-            intervals.append((t, t))
-    # Merge closed intervals.
-    intervals.sort()
-    merged = []
-    for lo, hi in intervals:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    segs, pts = [], []
-    for lo, hi in merged:
-        pa = Point2(a[0] + lo * d[0], a[1] + lo * d[1])
-        pb = Point2(a[0] + hi * d[0], a[1] + hi * d[1])
-        if pa == pb:
-            pts.append(pa)
-        else:
-            segs.append(Segment2(min(pa, pb), max(pa, pb)))
-    return segs, pts
-
-
-def pinched_common_visibility(gallery: PinchedGallery, points) -> PinchedCommonVisibility:
-    """Exact common visibility of finitely many viewpoints."""
-    pts_in = [pt(p) for p in points]
-    if not pts_in:
-        raise ValueError("need at least one viewpoint")
-    structures = [pinched_visibility(gallery, p) for p in pts_in]
-    acc_full = set(structures[0].full)
-    acc_segs = list(structures[0].segments)
-    acc_pts: List[Point2] = []
-    for vis in structures[1:]:
-        new_full = acc_full & set(vis.full)
-        new_segs: List[Segment2] = []
-        new_pts: List[Point2] = []
-        for seg in acc_segs:
-            segs, pts = _clip_segment_to_vis(seg, vis, gallery)
-            new_segs.extend(segs)
-            new_pts.extend(pts)
-        # vis segments inside the accumulated full components.
-        acc_struct = PinchedVisibility(structures[0].viewpoint, tuple(acc_full), (), gallery)
-        for seg in vis.segments:
-            segs, pts = _clip_segment_to_vis(seg, acc_struct, gallery)
-            new_segs.extend(segs)
-            new_pts.extend(pts)
-        new_pts.extend(p for p in acc_pts if vis.contains(p))
-        acc_full = new_full
-        acc_segs = list(dict.fromkeys(new_segs))
-        acc_pts = list(dict.fromkeys(new_pts))
-    # Canonical form: drop pieces already covered by surviving components.
-    def covered_by_full(s: Segment2) -> bool:
-        if s.a == s.b:
-            return any(gallery.components[i].contains(s.a) for i in acc_full)
-        d = (s.b[0] - s.a[0], s.b[1] - s.a[1])
-        ivs = []
-        for i in acc_full:
-            iv = _convex_param_interval(gallery.components[i], s.a, d, 0, 1)
-            if iv is not None:
-                ivs.append(iv)
-        return _merged_prefix(ivs, 0) >= 1
-
-    segs = tuple(s for s in acc_segs if not covered_by_full(s))
-    lone = tuple(
-        p
-        for p in acc_pts
-        if not covered_by_full(Segment2(p, p))
-        and not any(on_segment(p, s.a, s.b) for s in segs)
-    )
-    return PinchedCommonVisibility(tuple(sorted(acc_full)), segs, lone, gallery)
+def pinched_common_visibility(gallery: PinchedGallery, points, cache=None) -> PinchedCommonVisibility:
+    """Exact common visibility of viewpoints on a pinched gallery; `cache`
+    maps viewpoints to their visibility sets."""
+    views = _views(points, lambda p: pinched_visibility(gallery, p), cache)
+    return PinchedCommonVisibility(*_fold(views, gallery.components), gallery)

@@ -122,3 +122,21 @@ def test_skeletal_gallery_kernel_commands_exit_2(argv, tmp_path, capsys):
     gallery = _plus_gallery(tmp_path / "plus.json")
     assert main([argv[0], gallery, *argv[1:], "-o", str(tmp_path / "out")]) == 2
     assert "kernel is defined for areal galleries only" in capsys.readouterr().err
+
+
+# Malformed gallery documents exit 2 with an "error:" line, never 1 with
+# "internal error".
+TRIANGLE = [["0", "0"], ["1", "0"], ["0", "1"]]
+
+
+@pytest.mark.parametrize("doc", [
+    {"format_version": 1, "kind": "polygonal"},
+    {"format_version": 1, "kind": "polygonal", "outer": TRIANGLE, "holes": 5},
+    {"format_version": 1, "kind": "pinched", "components": 7},
+], ids=["no-outer", "holes-not-a-list", "components-not-a-list"])
+def test_malformed_gallery_document_exits_2(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["kernel", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err

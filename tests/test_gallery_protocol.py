@@ -14,7 +14,11 @@ from artgallery.gallery import Gallery, NotAreal, SkeletalGallery
 from artgallery.galleries import gen_fig1, gen_spider, gen_star
 from artgallery.geom.polygon import PolygonWithHoles
 from artgallery.rational import fmt, rat
-from artgallery.visibility import common_visibility
+from artgallery.visibility import (
+    common_visibility,
+    pinched_common_visibility,
+    skeletal_common_visibility,
+)
 
 
 def donut():
@@ -52,12 +56,22 @@ def test_default_candidates_are_pinned(name):
     assert (len(c), hashlib.sha256(text.encode()).hexdigest()) == CANDIDATE_PINS[name]
 
 
-def test_cached_common_visibility_matches_uncached():
-    g = donut()
+# Every kind honours the viewpoint cache, and a cached answer equals the
+# kind's uncached common visibility.
+UNCACHED = {
+    "donut": common_visibility,
+    "spider": skeletal_common_visibility,
+    "fig1": pinched_common_visibility,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCACHED))
+def test_cached_common_visibility_matches_uncached(name):
+    g = GALLERIES[name]()
     points = CandidateSet.default(g, seed=0, random_count=2).points[:8]
     cache = {}
     for tup in itertools.combinations(points, 3):
-        assert g.common_visibility(tup, cache) == common_visibility(g, tup)
+        assert g.common_visibility(tup, cache) == UNCACHED[name](g, tup)
     assert set(cache) == set(points)
 
 
