@@ -184,6 +184,16 @@ class TheoremReport:
                 raise ValueError("violation candidate requires conclusion failure")
 
 
+def _tuple_size_preconditions(cfg: CheckConfig) -> Tuple[Tuple[str, bool], ...]:
+    """("tuple-size>=N", k >= N) when the user overrode the theorem's tuple
+    size N with k, else nothing: the theorem says nothing about smaller
+    tuples, so a failure found with them is no counterexample."""
+    if cfg.k is None:
+        return ()
+    n = replace(cfg, k=None).tuple_size()
+    return ((f"tuple-size>={n}", cfg.k >= n),)
+
+
 def _classify(hyp: str, concl: str, preconditions_met: bool, certified_failure: bool) -> str:
     if hyp == "violated":
         return "VACUOUS"
@@ -266,6 +276,7 @@ def check_classic(gallery, candidates: Optional[CandidateSet] = None,
                   cfg: Optional[CheckConfig] = None) -> TheoremReport:
     cfg = cfg or CheckConfig(theorem="classic")
     k = cfg.tuple_size()
+    preconditions = _tuple_size_preconditions(cfg)
     name = gallery.name or type(gallery).__name__
     if candidates is None:
         candidates = CandidateSet.default(
@@ -281,7 +292,8 @@ def check_classic(gallery, candidates: Optional[CandidateSet] = None,
         cov = Coverage(0, _ncomb(len(candidates), k), fast_path="kernel-superset")
         return TheoremReport(
             "classic", name, "holds-on-candidates", "holds", "CONSISTENT",
-            witnesses=witnesses, coverage=cov, qualifiers=qualifiers, config=cfg,
+            witnesses=witnesses, coverage=cov, preconditions=preconditions,
+            qualifiers=qualifiers, config=cfg,
         )
 
     if isinstance(gallery, Gallery) and gallery.simply_connected:
@@ -297,7 +309,8 @@ def check_classic(gallery, candidates: Optional[CandidateSet] = None,
             cov = Coverage(1, _ncomb(len(candidates), k), fast_path="helly-edge-triple")
             return TheoremReport(
                 "classic", name, "violated", "fails", "VACUOUS",
-                violating_tuples=(triple,), coverage=cov, qualifiers=qualifiers, config=cfg,
+                violating_tuples=(triple,), coverage=cov, preconditions=preconditions,
+                qualifiers=qualifiers, config=cfg,
             )
 
     # general path: enumerate candidate tuples up to the cap
@@ -306,11 +319,12 @@ def check_classic(gallery, candidates: Optional[CandidateSet] = None,
         itertools.combinations(candidates.points, k), _ncomb(len(candidates), k), cfg.cap,
         lambda tup: _common_status(gallery, tup, cache),
     )
-    classification = _classify(hyp, concl, True, certified)
+    pre_met = all(ok for _, ok in preconditions)
+    classification = _classify(hyp, concl, pre_met, certified)
     return TheoremReport(
         "classic", name, hyp, concl, classification,
         violating_tuples=violating, witnesses=witnesses, coverage=cov,
-        qualifiers=qualifiers, config=cfg,
+        preconditions=preconditions, qualifiers=qualifiers, config=cfg,
     )
 
 
@@ -656,6 +670,7 @@ def check_quantitative(gallery, candidates: Optional[CandidateSet] = None,
         raise ValueError("threshold must be positive")
     name = gallery.name or type(gallery).__name__
     k = cfg.tuple_size()
+    preconditions = _tuple_size_preconditions(cfg)
     if candidates is None:
         candidates = CandidateSet.default(
             gallery, seed=cfg.seed, random_count=cfg.random_candidates
@@ -688,7 +703,7 @@ def check_quantitative(gallery, candidates: Optional[CandidateSet] = None,
         cov = Coverage(0, total, fast_path="kernel-superset")
         return TheoremReport(
             theorem, name, "holds-on-candidates", "holds", "CONSISTENT",
-            witnesses=tuple(witnesses), coverage=cov,
+            witnesses=tuple(witnesses), coverage=cov, preconditions=preconditions,
             qualifiers=tuple(dict.fromkeys(kernel_quals)), config=cfg,
         )
 
@@ -701,10 +716,12 @@ def check_quantitative(gallery, candidates: Optional[CandidateSet] = None,
     hyp, violating, qualifiers, cov = _scan(
         itertools.combinations(candidates.points, k), total, cfg.cap, judge
     )
-    classification = _classify(hyp, concl, True, certified_failure)
+    pre_met = all(ok for _, ok in preconditions)
+    classification = _classify(hyp, concl, pre_met, certified_failure)
     return TheoremReport(
         theorem, name, hyp, concl, classification,
         violating_tuples=violating, witnesses=tuple(witnesses), coverage=cov,
+        preconditions=preconditions,
         qualifiers=tuple(dict.fromkeys(qualifiers + kernel_quals)), config=cfg,
     )
 

@@ -15,18 +15,14 @@ import time
 from typing import List, Optional
 
 from artgallery.rational import fmt, rat
-from artgallery.gallery import Gallery, PinchedGallery, SkeletalGallery
+from artgallery.gallery import Gallery
+from artgallery.geom.polygon import Region
 from artgallery.geom.primitives import Point2
 from artgallery import docio, render
 from artgallery.docio import DocumentError
 from artgallery import checkers
 from artgallery.checkers import CandidateSet, CheckConfig, QUANT_FAMILIES
 from artgallery import galleries
-from artgallery.visibility import (
-    pinched_common_visibility,
-    skeletal_common_visibility,
-    visibility_polygon,
-)
 
 
 class InputError(ValueError):
@@ -52,28 +48,20 @@ def _parse_xy(x: str, y: str) -> Point2:
 # vis
 
 
+def _visibility(gallery, x: str, y: str):
+    """The viewpoint (x, y) and its exact visibility set, on any gallery kind."""
+    p = _parse_xy(x, y)
+    if not gallery.contains(p):
+        raise InputError(f"point ({x}, {y}) is outside the gallery")
+    return p, gallery.common_visibility([p])
+
+
 def cmd_vis(args) -> int:
     gallery = docio.load_gallery(args.gallery)
-    p = _parse_xy(args.x, args.y)
-    if not gallery.contains(p):
-        raise InputError(f"point ({args.x}, {args.y}) is outside the gallery")
-    if isinstance(gallery, SkeletalGallery):
-        doc = docio.shape_to_document(skeletal_common_visibility(gallery, [p]))
-        doc = {"format_version": docio.FORMAT_VERSION, "kind": doc.pop("type"), **doc}
-        _emit(docio.dumps(doc), args.output)
-        return 0
-    if isinstance(gallery, PinchedGallery):
-        vis = pinched_common_visibility(gallery, [p])
-        _emit(docio.dumps(docio.shape_to_document(vis)), args.output)
-        if args.svg:
-            comps = [gallery.components[i] for i in vis.full]
-            overlays = [("region", c) for c in comps] + [("points", [p])]
-            _emit(render.render_svg(gallery, overlays), args.svg)
-        return 0
-    vis = visibility_polygon(gallery, p)
-    _emit(docio.dumps(docio.region_to_document(vis.region)), args.output)
+    p, vis = _visibility(gallery, args.x, args.y)
+    _emit(docio.dumps(docio.shape_file_document(vis)), args.output)
     if args.svg:
-        _emit(render.render_svg(gallery, [("region", vis.region), ("points", [p])]), args.svg)
+        _emit(render.render_svg(gallery, [("region", vis), ("points", [p])]), args.svg)
     return 0
 
 
@@ -87,23 +75,20 @@ def cmd_kernel(args) -> int:
     if verdict == "fails":
         print("EMPTY")
         if args.output:
-            _emit(docio.dumps(docio.region_to_document(docio.Region(()))), args.output)
+            _emit(docio.dumps(docio.shape_file_document(Region(()))), args.output)
         return 0
     if isinstance(witness, Point2):
         print("area 0")
-        doc = docio.shape_to_document(witness)
     else:
         exact = witness.area()
         text = fmt(exact)
         if len(text) > 60:  # exact value still lands in the output document
             text = f"~{float(exact):.12g} (exact rational has {len(text)} digits; use -o)"
         print(f"area {text}")
-        doc = docio.region_to_document(witness)
     if args.output:
-        _emit(docio.dumps(doc), args.output)
+        _emit(docio.dumps(docio.shape_file_document(witness)), args.output)
     if args.svg:
-        overlay = ("points", [witness]) if isinstance(witness, Point2) else ("kernel", witness)
-        _emit(render.render_svg(gallery, [overlay]), args.svg)
+        _emit(render.render_svg(gallery, [("kernel", witness)]), args.svg)
     return 0
 
 
@@ -271,20 +256,13 @@ def cmd_render(args) -> int:
         elif spec == "kernel":
             verdict, witness, _, _ = checkers.kernel_status(gallery)
             if verdict == "holds":
-                kind = "points" if isinstance(witness, Point2) else "kernel"
-                payload = [witness] if isinstance(witness, Point2) else witness
-                overlays.append((kind, payload))
+                overlays.append(("kernel", witness))
         elif spec.startswith("vis:"):
             coords = spec[len("vis:"):].split(",")
             if len(coords) != 2:
                 raise InputError(f"overlay {spec!r} needs vis:X,Y")
-            p = _parse_xy(*coords)
-            if not gallery.contains(p):
-                raise InputError(f"vis point {coords} is outside the gallery")
-            if isinstance(gallery, (SkeletalGallery, PinchedGallery)):
-                raise InputError("vis overlay supports polygonal galleries only")
-            overlays.append(("region", visibility_polygon(gallery, p).region))
-            overlays.append(("points", [p]))
+            p, vis = _visibility(gallery, *coords)
+            overlays += [("region", vis), ("points", [p])]
         else:
             raise InputError(f"unknown overlay {spec!r}")
     _emit(render.render_svg(gallery, overlays), args.output)

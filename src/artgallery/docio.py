@@ -5,6 +5,14 @@ serialized as exact rational strings ("p/q"), so parse(serialize(G)) == G with
 no tolerance anywhere. Floating payloads (spike angles, fitted witnesses)
 stay native JSON numbers; Python's float repr round-trips them bit-exactly.
 
+Shapes have one layout, decided by the shape and never by the gallery kind.
+Inside a report a shape is a witness, ``{"type": t, ...}``
+(:func:`shape_to_document`). Written as a file of its own (``vis -o``,
+``kernel -o``) it is ``{"format_version": 1, "kind": t, ...}`` with the same
+remaining keys (:func:`shape_file_document`); a region witness already wraps
+a complete ``{"format_version": 1, "kind": "region", ...}`` document, which is
+its file as it stands.
+
 Report files split into a "deterministic" section (same inputs and seed give
 identical bytes) and an optional "timing" section that carries wall-clock.
 """
@@ -37,7 +45,10 @@ def _point(p) -> list:
 def _parse_point(obj) -> Point2:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise DocumentError(f"bad point {obj!r}")
-    return Point2(rat(obj[0]), rat(obj[1]))
+    try:
+        return Point2(rat(obj[0]), rat(obj[1]))
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise DocumentError(f"bad coordinate in {obj!r}: {exc}") from exc
 
 
 def _ring(vertices) -> list:
@@ -85,9 +96,11 @@ def document_to_gallery(doc: dict):
     if version != FORMAT_VERSION:
         raise DocumentError(f"unsupported format_version {version!r}")
     kind = doc.get("kind")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise DocumentError(f"gallery name must be a string, not {name!r}")
     try:
         classes = _parse_classes(doc.get("classes", {}))
-        name = doc.get("name", "")
         if kind == "skeletal":
             segs = [(_parse_point(a), _parse_point(b)) for a, b in doc["segments"]]
             return SkeletalGallery(segs, classes=classes, name=name).validate()
@@ -120,24 +133,7 @@ def load_gallery(path):
 
 
 # ---------------------------------------------------------------------------
-# Regions (cmd_vis / cmd_kernel output)
-
-
-def region_to_document(region) -> dict:
-    if isinstance(region, ConvexPolygon):
-        region = Region(() if region.is_empty() else (region.to_polygon(),))
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "region",
-        "components": [
-            {"outer": _ring(c.outer.vertices), "holes": [_ring(h.vertices) for h in c.holes]}
-            for c in region.components
-        ],
-    }
-
-
-# ---------------------------------------------------------------------------
-# Witness shapes (typed, for reports and overlays)
+# Shapes: report witnesses and standalone files
 
 
 def shape_to_document(shape) -> dict:
@@ -167,7 +163,12 @@ def shape_to_document(shape) -> dict:
         return {"type": "polygon", "vertices": _ring(shape.vertices)}
     if isinstance(shape, (Region, PolygonWithHoles)):
         reg = shape if isinstance(shape, Region) else Region((shape,))
-        return {"type": "region", "region": region_to_document(reg)}
+        components = [
+            {"outer": _ring(c.outer.vertices), "holes": [_ring(h.vertices) for h in c.holes]}
+            for c in reg.components
+        ]
+        region = {"format_version": FORMAT_VERSION, "kind": "region", "components": components}
+        return {"type": "region", "region": region}
     if isinstance(shape, SkeletalCommonVisibility):
         return {
             "type": "skeletal-visibility",
@@ -184,6 +185,17 @@ def shape_to_document(shape) -> dict:
             "points": [_point(p) for p in shape.points],
         }
     return {"type": "opaque", "repr": repr(shape)}
+
+
+def shape_file_document(shape) -> dict:
+    """`shape` as a file of its own: its witness document with `type`
+    renamed `kind` and `format_version` added; for a region, the region
+    document the witness wraps."""
+    doc = shape_to_document(shape)
+    kind = doc.pop("type")
+    if kind == "region":
+        return doc["region"]
+    return {"format_version": FORMAT_VERSION, "kind": kind, **doc}
 
 
 # ---------------------------------------------------------------------------

@@ -408,7 +408,8 @@ def _spiked_outline(mdisc: ConvexPolygon, apexes, touches) -> SimplePolygon:
     M'-disc that hull is the triangle (apex, lo, hi), which pokes out through
     one ring arc. The union boundary is the ring with each such arc replaced
     by crossing -> apex -> crossing. All crossings must be strictly interior
-    to ring edges and spikes must not interleave; violations raise.
+    to ring edges and spikes must not interleave; a ring too coarse for
+    that raises ValueError.
     """
     ring = mdisc.vertices
     n = len(ring)
@@ -422,14 +423,14 @@ def _spiked_outline(mdisc: ConvexPolygon, apexes, touches) -> SimplePolygon:
                 if hit is None:
                     continue
                 if hit[0] != "point":
-                    raise RuntimeError("tangent edge overlaps the disc ring")
+                    raise ValueError("tangent edge overlaps the disc ring; change disc_poly_verts")
                 hits.append((i, hit[1]))
             points = {p for _, p in hits}
             if len(points) != 1:
-                raise RuntimeError("tangent edge must cross the ring exactly once")
+                raise ValueError("tangent edge must cross the ring once; change disc_poly_verts")
             p = points.pop()
             if p in ring:
-                raise RuntimeError("crossing hits a ring vertex; change disc_poly_verts")
+                raise ValueError("crossing hits a ring vertex; change disc_poly_verts")
             i = min(i for i, q in hits if q == p)
             events.append((i, _edge_param(ring[i], ring[(i + 1) % n], p), p, k))
 
@@ -447,8 +448,10 @@ def _spiked_outline(mdisc: ConvexPolygon, apexes, touches) -> SimplePolygon:
     items += [(i, t, "x", (k, p)) for i, t, p, k in events]
     items.sort(key=lambda it: (it[0], it[1]))
     start = next(
-        j for j, it in enumerate(items) if it[2] == "v" and not in_spike(it[3])
+        (j for j, it in enumerate(items) if it[2] == "v" and not in_spike(it[3])), None
     )
+    if start is None:
+        raise ValueError("spikes cover every disc ring vertex; raise disc_poly_verts")
     out: List[Point2] = []
     inside = None
     for j in range(len(items)):
@@ -466,9 +469,9 @@ def _spiked_outline(mdisc: ConvexPolygon, apexes, touches) -> SimplePolygon:
                 out.append(p)
                 inside = None
             else:
-                raise RuntimeError("spikes interleave on the ring")
+                raise ValueError("spikes interleave on the ring; raise disc_poly_verts")
     if inside is not None:
-        raise RuntimeError("unmatched spike crossing")
+        raise ValueError("unmatched spike crossing; change disc_poly_verts")
     return SimplePolygon(tuple(out))
 
 
@@ -594,7 +597,11 @@ def gen_star(seed: int, n_vertices: int, irregularity: float = 0.6) -> SimplePol
             poly.validate()
             return poly
         radii = [1.0 + 0.7 * (r - 1.0) for r in radii]  # damp toward a regular polygon
-    raise RuntimeError("radial damping failed to certify the kernel")
+    # the angles stay fixed, so a gap of more than pi between two of them
+    # (possible for few vertices) keeps the origin out for good
+    raise ValueError(
+        f"radial damping failed to certify the kernel (seed {seed}, n_vertices {n_vertices})"
+    )
 
 
 def gen_simple(seed: int, n_vertices: int, span: int = 10, max_rounds: int = 400) -> SimplePolygon:

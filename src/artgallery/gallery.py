@@ -27,6 +27,7 @@ hold:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Tuple
 
 from artgallery.rational import Q
@@ -243,7 +244,9 @@ class PinchedGallery(GalleryKind):
                     raise ValueError("components overlap in more than a point")
                 yield i, j, meet.vertices[0]
 
+    @cached_property
     def pinch_points(self) -> Tuple[Point2, ...]:
+        """The distinct points where two components touch, computed once."""
         return tuple(dict.fromkeys(p for _, _, p in self._meets()))
 
     def contains(self, p) -> bool:
@@ -308,7 +311,7 @@ class PinchedGallery(GalleryKind):
         # points, so an outside viewer covers only finitely many rays of it;
         # hence x sees a whole convex piece iff x belongs to it, and the
         # kernel is the intersection of all components
-        for p in self.pinch_points():
+        for p in self.pinch_points:
             if all(c.contains(p) for c in self.components):
                 return "holds", p, True, "kernel-single-point"
         return "fails", None, True, None

@@ -1,28 +1,30 @@
 """Deterministic SVG rendering of galleries and overlays.
 
-Write-only output for humans: fixed palette, fixed z-order (gallery, regions,
-kernel, witnesses, class points, extra points), all coordinates printed with
-6 decimals. Same scene always gives identical bytes.
+Write-only output for humans: fixed palette, fixed z-order (gallery, then
+the "region", "kernel", "points" and "classes" overlays), all coordinates
+printed with 6 decimals. Same scene always gives identical bytes. The shape of
+a "region" or "kernel" overlay is whatever `common_visibility` or
+`kernel_status` returned, for every gallery kind.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 from artgallery.gallery import PinchedGallery, SkeletalGallery
 from artgallery.geom.convex import ConvexPolygon
 from artgallery.geom.polygon import PolygonWithHoles, Region
 from artgallery.geom.primitives import Point2
-from artgallery import inscribe
+from artgallery.visibility import PinchedCommonVisibility
 
 _GALLERY_FILL = "#d9d9d9"
 _GALLERY_EDGE = "#333333"
 _REGION_FILL = "#7fb2ff"
 _KERNEL_FILL = "#7fd98c"
-_WITNESS_EDGE = "#d62728"
 _CLASS_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _POINT_COLOR = "#000000"
+_SHAPE_FILLS = {"region": _REGION_FILL, "kernel": _KERNEL_FILL}
+_ORDER = ("region", "kernel", "points", "classes")
 
 
 class RenderError(ValueError):
@@ -84,16 +86,6 @@ def _polygon_element(canvas, poly, fill, opacity="1.0", stroke=_GALLERY_EDGE) ->
     )
 
 
-def _region_elements(canvas, region, fill, opacity="0.6") -> List[str]:
-    if isinstance(region, ConvexPolygon):
-        if region.is_empty():
-            return []
-        region = Region((region.to_polygon(),))
-    elif isinstance(region, PolygonWithHoles):
-        region = Region((region,))
-    return [_polygon_element(canvas, c, fill, opacity) for c in region.components]
-
-
 def _point_element(canvas, p, color, r: float = 4.0, label: Optional[str] = None) -> str:
     x, y = canvas.xy(p)
     el = f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{color}"/>'
@@ -105,88 +97,63 @@ def _point_element(canvas, p, color, r: float = 4.0, label: Optional[str] = None
     return el
 
 
-def _witness_elements(canvas, shape) -> List[str]:
-    if isinstance(shape, inscribe.Disc):
-        x, y = canvas.xy((shape.cx, shape.cy))
-        r = shape.r * canvas.scale
-        return [
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="none" '
-            f'stroke="{_WITNESS_EDGE}" stroke-width="2"/>'
-        ]
-    if isinstance(shape, inscribe.Box2):
-        x, y = canvas.xy((shape.x, float(shape.y) + float(shape.h)))
-        return [
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(float(shape.w) * canvas.scale)}" '
-            f'height="{_fmt(float(shape.h) * canvas.scale)}" fill="none" '
-            f'stroke="{_WITNESS_EDGE}" stroke-width="2"/>'
-        ]
-    if isinstance(shape, inscribe.Ellipse):
-        steps = 90
-        pts = []
-        for k in range(steps):
-            t = 2 * math.pi * k / steps
-            u, v = math.cos(t), math.sin(t)
-            px = shape.center[0] + shape.a11 * u + shape.a12 * v
-            py = shape.center[1] + shape.a12 * u + shape.a22 * v
-            pts.append(canvas.fmt((px, py)))
-        return [
-            f'<polygon points="{" ".join(pts)}" fill="none" '
-            f'stroke="{_WITNESS_EDGE}" stroke-width="2"/>'
-        ]
-    if isinstance(shape, inscribe.SegmentWitness):
-        (x1, y1), (x2, y2) = canvas.xy(shape.a), canvas.xy(shape.b)
-        return [
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{_WITNESS_EDGE}" stroke-width="3"/>'
-        ]
+def _line_element(canvas, a, b, color, width: int) -> str:
+    (x1, y1), (x2, y2) = canvas.xy(a), canvas.xy(b)
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{color}" stroke-width="{width}"/>'
+    )
+
+
+def _shape_elements(canvas, shape, fill, opacity="0.6") -> List[str]:
+    """Elements of a Region, PolygonWithHoles, ConvexPolygon or Point2, or of
+    a skeletal or pinched common visibility (whole components, segments and
+    isolated points)."""
     if isinstance(shape, Point2):
-        return [_point_element(canvas, shape, _WITNESS_EDGE, r=5.0)]
-    if isinstance(shape, (Region, PolygonWithHoles, ConvexPolygon)):
-        return _region_elements(canvas, shape, _WITNESS_EDGE, opacity="0.35")
-    raise RenderError(f"cannot render witness of type {type(shape).__name__}")
+        return [_point_element(canvas, shape, fill)]
+    if isinstance(shape, (ConvexPolygon, PolygonWithHoles)):
+        return [_polygon_element(canvas, shape, fill, opacity)]
+    if isinstance(shape, Region):
+        return [_polygon_element(canvas, c, fill, opacity) for c in shape.components]
+    full = shape.full if isinstance(shape, PinchedCommonVisibility) else ()
+    return (
+        [_polygon_element(canvas, shape.gallery.components[i], fill, opacity) for i in full]
+        + [_line_element(canvas, s.a, s.b, fill, 3) for s in shape.segments]
+        + [_point_element(canvas, p, fill) for p in shape.points]
+    )
 
 
 def render_svg(gallery, overlays: Sequence[Tuple[str, object]] = (), size: int = 640) -> str:
-    """Overlays: ("region", shape), ("kernel", shape), ("witness", shape),
-    ("points", iterable), ("classes", None) drawn in that fixed z-order."""
+    """Overlays: ("region", shape), ("kernel", shape), ("points", iterable),
+    ("classes", None), drawn in that fixed z-order."""
     pts = [p for p, _ in gallery.structural_points()]
     if not pts:
         raise RenderError("gallery has no points")
     canvas = _Canvas(_shape_bounds(pts), size=size)
 
-    order = {"region": 0, "kernel": 1, "witness": 2, "points": 3, "classes": 4}
     for kind, _ in overlays:
-        if kind not in order:
+        if kind not in _ORDER:
             raise RenderError(f"unknown overlay {kind!r}")
 
     body: List[str] = []
     if isinstance(gallery, SkeletalGallery):
-        for s in gallery.segments:
-            (x1, y1), (x2, y2) = canvas.xy(s.a), canvas.xy(s.b)
-            body.append(
-                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-                f'stroke="{_GALLERY_EDGE}" stroke-width="2"/>'
-            )
+        body += [_line_element(canvas, s.a, s.b, _GALLERY_EDGE, 2) for s in gallery.segments]
     elif isinstance(gallery, PinchedGallery):
         for c in gallery.components:
             body.append(_polygon_element(canvas, c.to_polygon(), _GALLERY_FILL))
     else:
         body.append(_polygon_element(canvas, gallery.polygon, _GALLERY_FILL))
 
-    for slot in range(5):
+    for slot in _ORDER:
         for kind, payload in overlays:
-            if order[kind] != slot:
+            if kind != slot:
                 continue
-            if kind == "region":
-                body.extend(_region_elements(canvas, payload, _REGION_FILL))
-            elif kind == "kernel":
-                body.extend(_region_elements(canvas, payload, _KERNEL_FILL))
-            elif kind == "witness":
-                body.extend(_witness_elements(canvas, payload))
+            if kind in _SHAPE_FILLS:
+                body.extend(_shape_elements(canvas, payload, _SHAPE_FILLS[kind]))
             elif kind == "points":
                 for p in payload:
                     body.append(_point_element(canvas, p, _POINT_COLOR))
-            elif kind == "classes":
+            else:
                 for i, (name, points) in enumerate(gallery.classes):
                     color = _CLASS_COLORS[i % len(_CLASS_COLORS)]
                     for j, p in enumerate(points):

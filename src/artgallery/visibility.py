@@ -503,7 +503,7 @@ def pinched_visibility(gallery: PinchedGallery, x):
     if not full:
         raise NotInGallery(f"viewpoint {x} not in gallery")
     segments: List[Segment2] = []
-    for P in gallery.pinch_points():
+    for P in gallery.pinch_points:
         if P == x:
             continue
         d = (P[0] - x[0], P[1] - x[1])

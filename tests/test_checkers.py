@@ -189,6 +189,28 @@ def test_classic_pinched_chain_consistent():
     assert dict(r.witnesses)["kernel"] == pt((1, 0))
 
 
+def test_classic_tuple_size_below_the_theorem_is_no_violation():
+    # pairs of the donut's candidates can all see a common point while the
+    # kernel is empty; Krasnosel'skii's theorem speaks of triples
+    r = check_classic(donut_gallery(), cfg=CheckConfig(k=1))
+    assert (r.hypothesis_verdict, r.conclusion_verdict) == ("holds-on-candidates", "fails")
+    assert r.classification == "CONSISTENT_WITH_CLAIM"
+    assert r.preconditions == (("tuple-size>=3", False),)
+    assert check_classic(donut_gallery(), cfg=CheckConfig(k=3, cap=1)).preconditions == (
+        ("tuple-size>=3", True),
+    )
+    assert check_classic(donut_gallery(), cfg=CheckConfig(cap=1)).preconditions == ()
+
+
+def test_quantitative_tuple_size_below_the_theorem_is_no_violation():
+    g = donut_gallery()
+    cand = CandidateSet.from_points(g, [(1, 1), (3, 1), (5, 1), (1, 5), (5, 5)])
+    cfg = CheckConfig(family="vwidth-segment", threshold=rat(1), k=2)
+    r = check_quantitative(g, cand, cfg)
+    assert r.classification == "CONSISTENT_WITH_CLAIM"
+    assert r.preconditions == (("tuple-size>=4", False),)
+
+
 def test_classic_rejects_skeletal():
     with pytest.raises(TypeError):
         check_classic(gen_spider())

@@ -46,17 +46,17 @@ OUTPUT_PINS = {
         EMPTY,
     ),
     ("fig1", "vis", ("7", "6")): (
-        "be60025cb8b581334b4a885e4a00470e27d96535c82c235bf8df1896ac5911f8",
-        "acf585ae14222fa9847fa921e35cdf8be91b3c1455aa5df8c7d1d333e2d9bbc2",
+        "bcc421b9ab8fca22202899bbe4429a08cbc7b5df860ae8bd76e3115506c9f431",
+        "e03271b35f1626975d288c6b40a44a56446a9972ec48a9f36298e2854b95c8c6",
         EMPTY,
     ),
     ("spider", "vis", ("5", "31/10")): (
         "9b549076bfb957cf935e6604db29496ee0756966e18e1009ab5e275b88e330ac",
-        None,
+        "180af04fe34be366afefaab1828030fb0e27c41b4016d013e9cd8715491759b2",
         EMPTY,
     ),
     ("star", "kernel", ()): (
-        "57211746098f1af0f1813d55169afb9e4edb0308be33bd8037e2ef8c4c9ee087",
+        "21f48a728a0a7c5818c7c98316297490410fea043c38ce800c1c4846d7a86288",
         "2779a0ad9bf925e5ba0e7607d2ed0798a9b2abd2b174e9b69e0ad22337daa78c",
         "ca0292f59401b93caf37374cb0cc0b6f5d2858517fa9e1e85584699f8c07ce9c",
     ),
@@ -133,10 +133,39 @@ TRIANGLE = [["0", "0"], ["1", "0"], ["0", "1"]]
     {"format_version": 1, "kind": "polygonal"},
     {"format_version": 1, "kind": "polygonal", "outer": TRIANGLE, "holes": 5},
     {"format_version": 1, "kind": "pinched", "components": 7},
-], ids=["no-outer", "holes-not-a-list", "components-not-a-list"])
+    {"format_version": 1, "kind": "polygonal", "outer": TRIANGLE, "name": 7},
+    {"format_version": 1, "kind": "polygonal", "outer": [["0", "0"], ["1/0", "0"], ["0", "1"]]},
+], ids=["no-outer", "holes-not-a-list", "components-not-a-list", "name-not-a-string",
+        "zero-denominator"])
 def test_malformed_gallery_document_exits_2(doc, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["kernel", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "internal error" not in err
+
+
+# A disc ring too coarse for the spikes is a bad parameter, not an internal
+# error. (At --n 4 --disc-poly-verts 8 the same check fires after about 100 s
+# of tuple search; these parameters reach it in well under a second.)
+@pytest.mark.parametrize("argv", [
+    ["--n", "2", "--disc-poly-verts", "7", "--budget", "1"],
+    ["--n", "1", "--disc-poly-verts", "3", "--budget", "1"],
+], ids=["every-vertex-in-a-spike", "spikes-interleave"])
+def test_spiked_with_too_few_disc_vertices_exits_2(argv, tmp_path, capsys):
+    assert main(["generate", "--example", "spiked", *argv, "-o", str(tmp_path / "g.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "disc_poly_verts" in err
+
+
+def test_check_k_below_the_theorem_is_no_violation(tmp_path):
+    donut = Gallery(
+        PolygonWithHoles([(0, 0), (6, 0), (6, 6), (0, 6)], [[(2, 2), (2, 4), (4, 4), (4, 2)]]),
+        name="donut",
+    )
+    path, out = tmp_path / "donut.json", tmp_path / "report.json"
+    path.write_text(docio.dumps(docio.gallery_to_document(donut)), encoding="utf-8")
+    assert main(["check", str(path), "--k", "1", "-o", str(out)]) == 0
+    det = json.loads(out.read_text())["deterministic"]
+    assert det["classification"] == "CONSISTENT_WITH_CLAIM"
+    assert det["preconditions"] == [["tuple-size>=3", False]]

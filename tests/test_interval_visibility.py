@@ -17,6 +17,7 @@ from artgallery import docio
 from artgallery.checkers import CandidateSet, check_colorful_general, check_colorful_plane
 from artgallery.gallery import PinchedGallery, SkeletalGallery
 from artgallery.galleries import gen_claim22, gen_fig1, gen_spider
+from artgallery.geom import convex
 from artgallery.geom.primitives import Point2, on_segment
 from artgallery.rational import fmt
 from artgallery.visibility import pinched_visibility, sees, skeletal_visibility
@@ -92,6 +93,17 @@ def test_common_visibility_is_pairwise_sight(name):
             assert member(g, common, y) == all(sight[x, y] for x in tup), (tup, y)
             checks += 1
     assert checks > 200
+
+
+@pytest.mark.parametrize("name", ["fig1", "chain"])
+def test_pinch_points_are_computed_once(name, monkeypatch):
+    g = GALLERIES[name]()
+    assert g.pinch_points == tuple(dict.fromkeys(p for *_, p in g._meets()))
+    calls = []
+    monkeypatch.setattr(convex, "convex_intersect", lambda *a: calls.append(a))
+    for x in sweep_points(g):
+        pinched_visibility(g, x)
+    assert calls == []
 
 
 def _pt(p):

@@ -4,7 +4,9 @@ Each case stops its tuple scan a different way: the classic check at its cap
 with violations found, the quantitative check after three violations, the
 colorful check at its cap, and a quantitative check that tallies every tuple
 as undetermined. The digests were recorded before the three scan loops were
-folded into one, so they pin the verdicts, coverage and qualifiers.
+folded into one, so they pin the verdicts, coverage and qualifiers. The
+last case's k=2 is below the ellipse theorem's tuple size 5, so its report
+also records the unmet precondition "tuple-size>=5".
 """
 
 import hashlib
@@ -69,7 +71,7 @@ REPORT_PINS = {
     classic_truncated: "48668e1080dbdccc3281f38294e34e31d0af060a719d07035b910f97612bc349",
     quantitative_violated: "8796dba8dc2bfe8a70b2e7ac3442d875c70ccc3c04f3a4765727f19adeef6679",
     colorful_truncated: "4796a4585baf81100e227aa0fd20bbe6270f749add63ad372a52df9bc62a6068",
-    quantitative_undetermined: "30d4524c846fd47f6b6479d6cce731034155337eba325f45aaf49eb041b0ef6a",
+    quantitative_undetermined: "4198b7b49c9db6a19038f2a26cf071639e4dee0bbcafb49d812aab6793ed46e7",
 }
 
 
