@@ -56,7 +56,7 @@ class CandidateSet:
         return CandidateSet(pts, (tag,) * len(pts))
 
     @staticmethod
-    def default(gallery, seed: int = 0, random_count: int = 20, user_points=()) -> "CandidateSet":
+    def default(gallery, seed: int = 0, random_count: int = 20) -> "CandidateSet":
         """Vertices + edge midpoints + spike tips + seeded random points."""
         pts: List[Point2] = []
         tags: List[str] = []
@@ -76,11 +76,6 @@ class CandidateSet:
         rng = random.Random(f"candidates:{seed}")
         for p in gallery.random_points(rng, random_count):
             add(p, f"random({seed})")
-        for p in user_points:
-            q = pt(p)
-            if not gallery.contains(q):
-                raise ValueError(f"candidate {q} is not in the gallery")
-            add(q, "user")
         return CandidateSet(tuple(pts), tuple(tags))
 
 
@@ -145,9 +140,6 @@ class Coverage:
     total: int
     truncated: bool = False
     fast_path: Optional[str] = None
-
-    def fraction(self) -> float:
-        return 1.0 if self.total == 0 else self.checked / self.total
 
 
 CLASSIFICATIONS = (

@@ -93,7 +93,7 @@ def document_to_gallery(doc: dict):
     if not isinstance(doc, dict):
         raise DocumentError("gallery document must be an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # not True, not 1.0
         raise DocumentError(f"unsupported format_version {version!r}")
     kind = doc.get("kind")
     name = doc.get("name", "")

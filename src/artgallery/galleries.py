@@ -306,7 +306,6 @@ def estimate_m(
     n: int,
     M=10,
     Mp=2,
-    strategy: str = "multistart-descent",
     budget: int = 24,
     seed: int = 0,
     disc_poly_verts: int = 720,
@@ -330,18 +329,8 @@ def estimate_m(
     best_angles = tuple(2.0 * math.pi * k / n for k in range(n))
     best_val = obj(best_angles)
     evals += 1
-    if n == 1:
-        # rotationally symmetric: any single direction is optimal
-        pass
-    elif strategy == "grid":
-        steps = max(2, int(round(budget ** (1.0 / n))))
-        for combo in itertools.product(range(steps), repeat=n):
-            angles = tuple(2.0 * math.pi * k / steps for k in combo)
-            val = obj(angles)
-            evals += 1
-            if val < best_val:
-                best_val, best_angles = val, angles
-    else:
+    # n == 1 is rotationally symmetric: any single direction is optimal.
+    if n > 1:
         rng = random.Random(seed)
         starts = [best_angles, tuple(0.0 for _ in range(n))]
         starts += [

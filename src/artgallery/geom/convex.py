@@ -25,10 +25,6 @@ class HalfPlane:
     c: object
 
     @staticmethod
-    def of(a, b, c) -> "HalfPlane":
-        return HalfPlane(rat(a), rat(b), rat(c))
-
-    @staticmethod
     def left_of_edge(u, v) -> "HalfPlane":
         """Half-plane of points on or to the left of the directed edge u -> v."""
         u, v = pt(u), pt(v)
@@ -38,10 +34,6 @@ class HalfPlane:
 
     def contains(self, p) -> bool:
         return self.a * p[0] + self.b * p[1] <= self.c
-
-    def slack(self, p):
-        """c - (a*x + b*y); nonnegative inside, zero on the boundary line."""
-        return self.c - (self.a * p[0] + self.b * p[1])
 
 
 def _canonical_ccw(ring: Sequence[Point2]) -> Tuple[Point2, ...]:

@@ -55,9 +55,6 @@ class Box2:
     def area(self):
         return self.w * self.h
 
-    def axis_sum(self):
-        return self.w + self.h
-
 
 @dataclass(frozen=True)
 class Disc:

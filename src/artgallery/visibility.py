@@ -9,15 +9,13 @@ Skeletal and pinched galleries are finite unions of closed convex pieces
 by interval cover along lines; see the section that handles them. The rest
 of this docstring is about polygonal galleries.
 
-The visibility region of a viewpoint is star-shaped but can be degenerate in
-two ways that both occur in legitimate galleries and are represented exactly:
-
-  * pinch points, where the region touches itself at a single point (seen
-    exactly past a grazing corner) -- represented as separate components
-    sharing a vertex;
-  * antennas, one-dimensional pieces visible only exactly along a ray through
-    two collinear reflex corners -- represented as explicit segments alongside
-    the two-dimensional region.
+The visibility region of a viewpoint is the closed two-dimensional part of
+what it sees, exactly: star-shaped about the viewpoint, and pinched where it
+touches itself at a single point (seen exactly past a grazing corner), which
+is represented as separate components sharing a vertex. The one-dimensional
+pieces seen only along a ray through two collinear reflex corners are not
+represented; `common_visibility`, which intersects these regions, never
+represented them either.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from artgallery.geom.primitives import (
     Segment2,
     cross,
     line_intersection,
-    on_segment,
     pt,
     same_direction,
     segments_intersect,
@@ -107,26 +104,6 @@ def sees(gallery, x, y) -> bool:
 
 # ---------------------------------------------------------------------------
 # Visibility polygon (angular sweep)
-
-
-@dataclass(frozen=True)
-class VisibilityRegion:
-    """Exact visibility set of a viewpoint: a region plus antenna segments."""
-
-    viewpoint: Point2
-    region: Region
-    antennas: Tuple[Segment2, ...] = ()
-
-    def contains(self, p) -> bool:
-        p = pt(p)
-        from artgallery.geom.polygon import point_in_region
-
-        if point_in_region(p, self.region):
-            return True
-        return any(on_segment(p, s.a, s.b) for s in self.antennas)
-
-    def area(self):
-        return self.region.area()
 
 
 def _ray_events(x, u, edges):
@@ -207,11 +184,11 @@ def _split_pinched(ring: List[Point2]) -> List[List[Point2]]:
     return out
 
 
-def visibility_polygon(gallery, x) -> VisibilityRegion:
+def visibility_polygon(gallery, x) -> Region:
     """Exact visibility region of viewpoint x (angular sweep over rationals).
 
-    The result is closed and star-shaped about x; see the module docstring
-    for how pinches and antennas are represented.
+    The result is the closed two-dimensional visibility set, star-shaped
+    about x; see the module docstring for pinches and what is left out.
     """
     poly = as_polygon(gallery)
     x = pt(x)
@@ -227,49 +204,18 @@ def visibility_polygon(gallery, x) -> VisibilityRegion:
     dirs = sort_directions([(rat(a), rat(b)) for a, b in dirs])
     m = len(dirs)
 
-    # Per sector: the visible boundary piece, clipped to the sector rays.
-    contributions: List[Tuple[Point2, Point2]] = []
+    # Per sector: the visible boundary piece, clipped to the sector rays (x
+    # itself for a sector seen to depth 0), appended to the ring.
+    ring_pts: List[Point2] = []
     for i in range(m):
         ua = dirs[i]
         ub = dirs[(i + 1) % m]
-        um = (ua[0] + ub[0], ua[1] + ub[1])
-        t, edge = _visible_radius(poly, edges, x, um)
+        t, edge = _visible_radius(poly, edges, x, (ua[0] + ub[0], ua[1] + ub[1]))
         if t == 0 or edge is None:
-            contributions.append((x, x))
-            continue
-        pa = _ray_line_point(x, ua, edge[0], edge[1])
-        pb = _ray_line_point(x, ub, edge[0], edge[1])
-        contributions.append((pa, pb))
-
-    # Antenna detection along each event ray: visible strictly beyond what the
-    # adjacent sectors cover means a one-dimensional spike.
-    antennas: List[Segment2] = []
-    for i in range(m):
-        u = dirs[i]
-        t_vis, _ = _visible_radius(poly, edges, x, u)
-        if t_vis == 0:
-            continue
-        prev_pt = contributions[(i - 1) % m][1]
-        next_pt = contributions[i][0]
-        cover = rat(0)
-        uu = u[0] * u[0] + u[1] * u[1]
-        for p in (prev_pt, next_pt):
-            w = (p[0] - x[0], p[1] - x[1])
-            if w[0] * u[1] - w[1] * u[0] == 0:
-                tp = (w[0] * u[0] + w[1] * u[1]) / uu
-                if tp > cover:
-                    cover = tp
-        if t_vis > cover:
-            antennas.append(
-                Segment2(
-                    Point2(x[0] + cover * u[0], x[1] + cover * u[1]),
-                    Point2(x[0] + t_vis * u[0], x[1] + t_vis * u[1]),
-                )
-            )
-
-    ring_pts: List[Point2] = []
-    for pa, pb in contributions:
-        for p in (pa, pb):
+            piece = (x,)
+        else:
+            piece = (_ray_line_point(x, ua, *edge), _ray_line_point(x, ub, *edge))
+        for p in piece:
             if not ring_pts or ring_pts[-1] != p:
                 ring_pts.append(p)
     while len(ring_pts) > 1 and ring_pts[0] == ring_pts[-1]:
@@ -281,7 +227,7 @@ def visibility_polygon(gallery, x) -> VisibilityRegion:
             loop = merge_collinear(loop)
             if len(loop) >= 3 and ring_signed_area(loop) != 0:
                 comps.append(PolygonWithHoles(SimplePolygon(tuple(loop))))
-    return VisibilityRegion(viewpoint=x, region=Region(tuple(comps)), antennas=tuple(antennas))
+    return Region(tuple(comps))
 
 
 def _views(points, view, cache):
@@ -300,13 +246,13 @@ def _views(points, view, cache):
 def common_visibility(gallery, points, cache=None) -> Region:
     """Exact intersection of the viewpoints' visibility regions.
 
-    Zero-area intersections (shared boundary or antenna contacts only) come
-    back empty, matching the canonical region form. `cache` maps viewpoints
+    Zero-area intersections (shared boundary contacts only) come back empty,
+    matching the canonical region form. `cache` maps viewpoints
     to their visibility regions, so that a caller enumerating many tuples
     computes each visibility polygon once.
     """
     acc: Optional[Region] = None
-    for vis in _views(points, lambda p: visibility_polygon(gallery, p).region, cache):
+    for vis in _views(points, lambda p: visibility_polygon(gallery, p), cache):
         acc = vis if acc is None else region_boolean("intersect", acc, vis)
         if acc.is_empty():
             break

@@ -18,20 +18,23 @@ from artgallery.rational import rat
 from artgallery.visibility import segment_in_polygon, visibility_polygon
 
 
-def vertex_set(vis) -> tuple:
-    """Distinct vertices of a VisibilityRegion: its rings, then its antennas."""
-    seen = []
-    for ring in vis.region.rings():
-        seen.extend(ring)
-    for s in vis.antennas:
-        seen.extend((s.a, s.b))
-    return tuple(dict.fromkeys(seen))
+def vertex_set(region) -> tuple:
+    """Distinct vertices of a region's rings, in ring order."""
+    return tuple(dict.fromkeys(v for ring in region.rings() for v in ring))
 
 
 def convex_visibility(gallery, x) -> ConvexPolygon:
-    """Convex hull of the exact visibility region (hull of its vertices)."""
-    vis = visibility_polygon(gallery, x)
-    return convex_hull(list(vertex_set(vis)) + [vis.viewpoint])
+    """Convex hull of the exact visibility region of x: of its ring vertices
+    and x.
+
+    It still bounds a positive-area kernel from outside, although the region
+    leaves out the one-dimensional pieces of what x sees. The kernel lies in
+    what x sees; the interior of a positive-area kernel is open, and a finite
+    union of segments contains no open set, so that interior lies in the
+    closed region, and so does its closure, the kernel.
+    """
+    x = pt(x)
+    return convex_hull(list(vertex_set(visibility_polygon(gallery, x))) + [x])
 
 
 def point_in_kernel(gallery, x, method: str = "auto") -> bool:

@@ -59,7 +59,7 @@ def test_donut_visibility_regions_match_oracle():
     gallery = Gallery(polygon=donut, classes=(), name="donut")
 
     def vis(x, y):
-        return visibility_polygon(gallery, (rat(x), rat(y))).region
+        return visibility_polygon(gallery, (rat(x), rat(y)))
 
     pair = region_boolean("intersect", vis(0, 0), vis(5, 1))
     triple = region_boolean("intersect", pair, vis(rat(1, 2), 5))

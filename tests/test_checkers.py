@@ -114,7 +114,9 @@ def test_gallery_contains_kinds():
 
 
 def test_halfplane_triple_empty_cases():
-    h = HalfPlane.of
+    def h(a, b, c):
+        return HalfPlane(rat(a), rat(b), rat(c))
+
     # antiparallel gap: x <= 0 against x >= 1
     assert halfplane_triple_empty(h(1, 0, 0), h(-1, 0, -1), h(0, 1, 5))
     # a genuine triangle

@@ -135,8 +135,10 @@ TRIANGLE = [["0", "0"], ["1", "0"], ["0", "1"]]
     {"format_version": 1, "kind": "pinched", "components": 7},
     {"format_version": 1, "kind": "polygonal", "outer": TRIANGLE, "name": 7},
     {"format_version": 1, "kind": "polygonal", "outer": [["0", "0"], ["1/0", "0"], ["0", "1"]]},
+    {"format_version": True, "kind": "polygonal", "outer": TRIANGLE},
+    {"format_version": 1.0, "kind": "polygonal", "outer": TRIANGLE},
 ], ids=["no-outer", "holes-not-a-list", "components-not-a-list", "name-not-a-string",
-        "zero-denominator"])
+        "zero-denominator", "format-version-true", "format-version-float"])
 def test_malformed_gallery_document_exits_2(doc, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -43,11 +43,12 @@ def test_convex_intersect():
 
 def test_halfplane_convention():
     # HalfPlane(a, b, c) keeps ax + by <= c.
-    hp = HalfPlane.of(1, 0, 1)
+    hp = HalfPlane(rat(1), rat(0), rat(1))
     assert hp.contains(pt((0, 0)))
     assert hp.contains(pt((1, 5)))
     assert not hp.contains(pt((2, 0)))
-    assert hp.slack(pt((0, 0))) == 1
+    p = pt((0, 0))
+    assert hp.c - (hp.a * p[0] + hp.b * p[1]) == 1
 
 
 def test_left_of_edge_matches_ccw_interior():
@@ -60,9 +61,9 @@ def test_left_of_edge_matches_ccw_interior():
 
 def test_clip_convex():
     sq = square()
-    clipped = clip_convex(sq, [HalfPlane.of(1, 0, 1)])  # x <= 1
+    clipped = clip_convex(sq, [HalfPlane(rat(1), rat(0), rat(1))])  # x <= 1
     assert clipped.area() == 2
-    gone = clip_convex(sq, [HalfPlane.of(1, 0, -1)])  # x <= -1
+    gone = clip_convex(sq, [HalfPlane(rat(1), rat(0), rat(-1))])  # x <= -1
     assert gone.is_empty()
 
 

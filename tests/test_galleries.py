@@ -122,7 +122,7 @@ def test_cone_halfplanes_contain_disc_with_apex_on_boundary():
     apex = pt((5, 0))
     h1, h2 = cone_halfplanes(apex, d)
     for h in (h1, h2):
-        assert h.slack(apex) == 0
+        assert h.c - (h.a * apex[0] + h.b * apex[1]) == 0
         assert all(h.contains(v) for v in d.vertices)
 
 
