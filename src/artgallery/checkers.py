@@ -20,7 +20,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from artgallery.rational import rat, rationalize
 from artgallery.gallery import Gallery
-from artgallery.geom.primitives import Point2, cross, pt
+from artgallery.geom.primitives import Point2, orient, pt
 from artgallery.geom.polygon import PolygonWithHoles, Region, as_region, region_bbox
 from artgallery.geom.convex import ConvexPolygon, HalfPlane
 from artgallery.geom.boolean import region_boolean
@@ -590,7 +590,7 @@ def _region_as_convex(region: Region) -> Optional[ConvexPolygon]:
     vs = region.components[0].outer.vertices
     n = len(vs)
     for i in range(n):
-        if cross(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) <= 0:
+        if orient(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) <= 0:
             return None
     return ConvexPolygon(vs)
 

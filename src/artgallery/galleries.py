@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from artgallery.rational import Q, rat, rationalize
-from artgallery.geom.primitives import Point2, Segment2, cross, orient, pt, segments_intersect
+from artgallery.geom.primitives import Point2, Segment2, orient, pt, segments_intersect
 from artgallery.geom.polygon import PolygonWithHoles, Region, SimplePolygon, scale_region
 from artgallery.geom.convex import (
     ConvexPolygon,
@@ -203,9 +203,9 @@ def _tangent_vertices(apex: Point2, disc: ConvexPolygon) -> Tuple[Point2, Point2
     """Extreme disc vertices as seen from an exterior apex (exact)."""
     lo = hi = disc.vertices[0]
     for v in disc.vertices[1:]:
-        if cross(apex, hi, v) > 0:
+        if orient(apex, hi, v) > 0:
             hi = v
-        if cross(apex, lo, v) < 0:
+        if orient(apex, lo, v) < 0:
             lo = v
     return lo, hi
 
@@ -578,7 +578,7 @@ def gen_star(seed: int, n_vertices: int, irregularity: float = 0.6) -> SimplePol
             for r, t in zip(radii, base)
         ]
         ok = all(
-            cross(verts[i], verts[(i + 1) % n_vertices], Point2(0, 0)) > 0
+            orient(verts[i], verts[(i + 1) % n_vertices], Point2(0, 0)) > 0
             for i in range(n_vertices)
         )
         if ok:

@@ -9,7 +9,6 @@ from artgallery.geom.primitives import (
     Point2,
     Segment2,
     orient,
-    cross,
     on_segment,
     segments_intersect,
     angle_less,
@@ -36,7 +35,6 @@ __all__ = [
     "Point2",
     "Segment2",
     "orient",
-    "cross",
     "on_segment",
     "segments_intersect",
     "angle_less",

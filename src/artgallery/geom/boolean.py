@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from artgallery.geom.primitives import Point2, cross, segments_intersect
+from artgallery.geom.primitives import Point2, orient, segments_intersect
 from artgallery.geom.polygon import (
     PolygonWithHoles,
     Region,
@@ -76,7 +76,7 @@ def _split_all(edges):
                 continue
             c, d, _ = edges[j]
             other = d if c in (a, b) else c if d in (a, b) else None
-            if other is not None and cross(a, b, other) != 0:
+            if other is not None and orient(a, b, other) != 0:
                 continue  # not collinear: they meet only at the shared endpoint
             hit = segments_intersect(a, b, c, d)
             if hit is None:
@@ -173,7 +173,7 @@ def merge_collinear(ring):
         n = len(out)
         for i in range(n):
             a, b, c = out[(i - 1) % n], out[i], out[(i + 1) % n]
-            if cross(a, b, c) == 0:
+            if orient(a, b, c) == 0:
                 del out[i]
                 changed = True
                 break

@@ -4,15 +4,33 @@ Everything is exact over rationals. Degenerate convex sets (points, segments,
 zero-area touches) are first-class citizens: clipping and intersection keep
 them rather than silently dropping to empty, because downstream code (kernels,
 boundary-touch intersections) distinguishes "empty" from "measure zero".
+
+`ConvexPolygon` and `HalfPlane` hold rationals, but signs and clip vertices
+are computed on integer homogeneous coordinates read through `numerator` and
+`denominator` (see :mod:`artgallery.geom.primitives`), so the same code
+serves `fractions.Fraction` and `gmpy2.mpq`. Clipping builds each new vertex
+as the meet of two integer lines, the edge's and the half-plane's, so vertex
+size is bounded by the input lines rather than by clipping depth (Yap,
+"Towards exact geometric computation", CGTA 1997).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from artgallery.rational import rat
-from artgallery.geom.primitives import Point2, cross, on_segment, pt
+from artgallery.geom.primitives import (
+    Point2,
+    det3,
+    from_homogeneous,
+    homogeneous,
+    join,
+    meet,
+    on_segment,
+    pt,
+)
 from artgallery.geom.polygon import SimplePolygon, ring_signed_area
 
 
@@ -34,6 +52,18 @@ class HalfPlane:
 
     def contains(self, p) -> bool:
         return self.a * p[0] + self.b * p[1] <= self.c
+
+    def line(self):
+        """The boundary as an integer line (A, B, C), A*x + B*y = C, scaled by
+        the lcm of the coefficients' denominators, so that A*X + B*Y <= C*W
+        holds exactly for the homogeneous points (X, Y, W) inside."""
+        a, b, c = self.a, self.b, self.c
+        m = math.lcm(a.denominator, b.denominator, c.denominator)
+        return (
+            a.numerator * (m // a.denominator),
+            b.numerator * (m // b.denominator),
+            c.numerator * (m // c.denominator),
+        )
 
 
 def _canonical_ccw(ring: Sequence[Point2]) -> Tuple[Point2, ...]:
@@ -72,15 +102,14 @@ class ConvexPolygon:
         vs = self.vertices
         if not vs:
             return False
+        p = pt(p)
         if len(vs) == 1:
-            return pt(p) == vs[0]
+            return p == vs[0]
         if len(vs) == 2:
-            return on_segment(pt(p), vs[0], vs[1])
-        n = len(vs)
-        for i in range(n):
-            if cross(vs[i], vs[(i + 1) % n], p) < 0:
-                return False
-        return True
+            return on_segment(p, vs[0], vs[1])
+        hp = homogeneous(p)
+        hs = [homogeneous(v) for v in vs]
+        return all(det3(hs[i - 1], hs[i], hp) >= 0 for i in range(len(hs)))
 
     def halfplanes(self) -> Tuple[HalfPlane, ...]:
         vs = self.vertices
@@ -110,62 +139,85 @@ def convex_hull(points) -> ConvexPolygon:
     ps = sorted({pt(p) for p in points})
     if len(ps) <= 2:
         return ConvexPolygon(ps)
+    hs = [homogeneous(p) for p in ps]
 
-    def half(points_iter):
-        chain: List[Point2] = []
-        for p in points_iter:
-            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+    def half(order):
+        chain: List[int] = []
+        for i in order:
+            while len(chain) >= 2 and det3(hs[chain[-2]], hs[chain[-1]], hs[i]) <= 0:
                 chain.pop()
-            chain.append(p)
+            chain.append(i)
         return chain
 
-    lower = half(ps)
-    upper = half(reversed(ps))
-    ring = lower[:-1] + upper[:-1]
+    lower = half(range(len(ps)))
+    upper = half(reversed(range(len(ps))))
+    ring = [ps[i] for i in lower[:-1] + upper[:-1]]
     if len(ring) < 3:
         # All points collinear: keep the two extremes.
         return ConvexPolygon((ps[0], ps[-1]))
     return ConvexPolygon(ring)
 
 
-def clip_ring(ring, hp: HalfPlane):
-    """Sutherland-Hodgman clip of a convex ring by a closed half-plane.
+def _same(u, v) -> bool:
+    """Clip outputs u and v, each (ring entry, lies on the clip line), hold
+    the same point. Two input points compare as rationals. Otherwise only two
+    points on the clip line can coincide: two points off it differ in slack
+    or are neighbours in a ring that an earlier clip has deduplicated."""
+    (p, p_in, _), p_on = u
+    (q, q_in, _), q_on = v
+    if p_in is not None and q_in is not None:
+        return p_in == q_in
+    return p_on and q_on and p[0] * q[2] == q[0] * p[2] and p[1] * q[2] == q[1] * p[2]
 
-    Keeps zero-area results (rings that collapse to a segment or point).
+
+def _clip_ring(ring, h):
+    """Sutherland-Hodgman clip of a convex ring by the closed half-plane
+    A*x + B*y <= C of the integer line h = (A, B, C).
+
+    Each ring entry is (homogeneous vertex, its input Point2 or None, the
+    integer line of the edge that leaves it). A new vertex is the meet of
+    its edge's line with h. An exit vertex, and a kept vertex on h whose
+    successor is cut, leave along h. Zero-area results (rings that collapse
+    to a segment or a point) are kept.
     """
-    if not ring:
-        return ()
-    a, b, c = hp.a, hp.b, hp.c
-    slacks = [c - (a * p[0] + b * p[1]) for p in ring]
+    a, b, c = h
+    slacks = [c * w - a * x - b * y for (x, y, w), _, _ in ring]
     if all(s >= 0 for s in slacks):
-        return tuple(ring)
-    out: List[Point2] = []
+        return ring
+    out = []
     n = len(ring)
     for i in range(n):
-        p, q = ring[i], ring[(i + 1) % n]
+        p, point, line = ring[i]
         sp, sq = slacks[i], slacks[(i + 1) % n]
         if sp >= 0:
-            out.append(p)
+            out.append(((p, point, h if sp == 0 and sq < 0 else line), sp == 0))
         if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
-            t = sp / (sp - sq)
-            out.append(Point2(p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    dedup: List[Point2] = []
-    for p in out:
-        if not dedup or dedup[-1] != p:
-            dedup.append(p)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+            out.append(((meet(line, h), None, h if sp > 0 else line), True))
+    dedup = []
+    for v in out:
+        if dedup and _same(dedup[-1], v):
+            dedup[-1] = v  # the later copy holds the edge that leaves the point
+        else:
+            dedup.append(v)
+    if len(dedup) > 1 and _same(dedup[0], dedup[-1]):
         dedup.pop()
-    return tuple(dedup)
+    return [entry for entry, _ in dedup]
 
 
 def clip_convex(convex, halfplanes) -> ConvexPolygon:
-    """Clip a convex polygon by a sequence of half-planes (exact)."""
-    ring = convex.vertices if isinstance(convex, ConvexPolygon) else tuple(pt(p) for p in convex)
+    """Clip a convex polygon by a sequence of half-planes (exact).
+
+    Vertices stay integer homogeneous while clipping; each output vertex that
+    is not an input vertex becomes one rational per coordinate at the end.
+    """
+    points = convex.vertices if isinstance(convex, ConvexPolygon) else tuple(pt(p) for p in convex)
+    hs = [homogeneous(p) for p in points]
+    ring = [(hs[i], points[i], join(hs[i], hs[(i + 1) % len(hs)])) for i in range(len(hs))]
     for hp in halfplanes:
-        ring = clip_ring(ring, hp)
+        ring = _clip_ring(ring, hp.line())
         if not ring:
             return ConvexPolygon(())
-    return ConvexPolygon(ring)
+    return ConvexPolygon([from_homogeneous(p) if point is None else point for p, point, _ in ring])
 
 
 def convex_intersect(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:

@@ -19,7 +19,9 @@ from typing import Tuple
 from artgallery.rational import rat
 from artgallery.geom.primitives import (
     Point2,
-    on_segment,
+    between,
+    det3,
+    homogeneous,
     pt,
     segments_intersect,
 )
@@ -222,21 +224,25 @@ def as_region(shape) -> Region:
 
 
 def locate_in_ring(p, ring) -> str:
-    """Exact location of p relative to the closed ring: "in", "on" or "out"."""
-    p = pt(p)
-    px, py = p
-    n = len(ring)
+    """Exact location of p relative to the closed ring: "in", "on" or "out".
+
+    One orientation per edge decides both tests. p is on an edge when it is
+    collinear with it and between its ends. An edge that straddles p's height
+    (half-open) crosses the rightward ray from p when p lies to its left going
+    up, or to its right going down.
+    """
+    hp = homogeneous(pt(p))
+    _, py, pw = hp
+    hs = [homogeneous(v) for v in ring]
     crossings = 0
-    for i in range(n):
-        a = ring[i]
-        b = ring[(i + 1) % n]
-        if on_segment(p, a, b):
+    for i in range(len(hs)):
+        a, b = hs[i - 1], hs[i]
+        o = det3(a, b, hp)
+        if o == 0 and between(hp, a, b):
             return "on"
-        ay, by = a[1], b[1]
-        if (ay > py) != (by > py):
-            xint = a[0] + (py - ay) * (b[0] - a[0]) / (by - ay)
-            if xint > px:
-                crossings += 1
+        up = b[1] * pw > py * b[2]
+        if (a[1] * pw > py * a[2]) != up and (o > 0 if up else o < 0):
+            crossings += 1
     return "in" if crossings % 2 == 1 else "out"
 
 

@@ -2,13 +2,20 @@
 
 The predicates here are the trust base for everything above them. They take
 rational coordinates and return exact answers; there are no tolerances.
+
+Signs and constructed points are computed on integer homogeneous
+coordinates: a point (x, y) is read as (X, Y, W) through `numerator` and
+`denominator` alone (see :func:`homogeneous`), which serves
+`fractions.Fraction` and `gmpy2.mpq` alike. An orientation is then the sign
+of one integer determinant, with no gcd and no rational temporaries, and a
+crossing point is one integer line meet, normalised once per coordinate.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from artgallery.rational import rat
+from artgallery.rational import Q, rat
 
 
 class Point2(NamedTuple):
@@ -33,29 +40,74 @@ def pt(p) -> Point2:
     return Point2(rat(p[0]), rat(p[1]))
 
 
-def cross(o, a, b):
-    """Signed parallelogram area of (a-o) x (b-o)."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def homogeneous(p):
+    """Integer homogeneous coordinates (X, Y, W) of the rational point p, W > 0.
+
+    (x, y) = (X/W, Y/W) with X = x.numerator * y.denominator,
+    Y = y.numerator * x.denominator and W = x.denominator * y.denominator.
+    No gcd is taken, so W need not be the smallest common denominator.
+    """
+    x, y = p[0], p[1]
+    xd, yd = x.denominator, y.denominator
+    return x.numerator * yd, y.numerator * xd, xd * yd
+
+
+def det3(p, q, r):
+    """Determinant of three homogeneous points (rows X, Y, W).
+
+    With every W > 0 its sign is the sign of the cross product (q - p) x (r - p).
+    """
+    px, py, pw = p
+    qx, qy, qw = q
+    rx, ry, rw = r
+    return px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx)
+
+
+def between(p, a, b) -> bool:
+    """For collinear homogeneous points: p lies on the closed segment [a, b].
+
+    That is (p - a) . (p - b) <= 0, scaled by the positive pw^2 * aw * bw.
+    """
+    px, py, pw = p
+    ax, ay, aw = a
+    bx, by, bw = b
+    return (px * aw - ax * pw) * (px * bw - bx * pw) + (py * aw - ay * pw) * (py * bw - by * pw) <= 0
+
+
+def join(p, q):
+    """Integer line (A, B, C), A*x + B*y = C, through homogeneous points p != q."""
+    px, py, pw = p
+    qx, qy, qw = q
+    return py * qw - pw * qy, pw * qx - px * qw, py * qx - px * qy
+
+
+def meet(l, m):
+    """Homogeneous point (X, Y, W), W > 0, where integer lines l and m cross;
+    they must not be parallel."""
+    a1, b1, c1 = l
+    a2, b2, c2 = m
+    w = a1 * b2 - a2 * b1
+    x = c1 * b2 - c2 * b1
+    y = a1 * c2 - a2 * c1
+    return (x, y, w) if w > 0 else (-x, -y, -w)
+
+
+def from_homogeneous(p) -> Point2:
+    """The rational point of homogeneous p: one normalisation per coordinate."""
+    x, y, w = p
+    return Point2(Q(x, w), Q(y, w))
 
 
 def orient(p, q, r) -> int:
     """Orientation sign: +1 if p->q->r turns counterclockwise, -1 clockwise, 0 collinear."""
-    c = cross(p, q, r)
-    if c > 0:
-        return 1
-    if c < 0:
-        return -1
-    return 0
+    d = det3(homogeneous(p), homogeneous(q), homogeneous(r))
+    return (d > 0) - (d < 0)
 
 
 def on_segment(p, a, b) -> bool:
     """Exact: p lies on the closed segment [a, b]."""
-    if cross(a, b, p) != 0:
-        return False
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
+    p, a, b = homogeneous(p), homogeneous(a), homogeneous(b)
+    return det3(a, b, p) == 0 and between(p, a, b)
 
 
 def segments_intersect(a, b, c, d):
@@ -66,10 +118,11 @@ def segments_intersect(a, b, c, d):
         ("point", P)              -- single intersection point
         ("overlap", P, Q)         -- collinear overlap from P to Q (P may equal Q)
     """
-    d1 = cross(a, b, c)
-    d2 = cross(a, b, d)
-    d3 = cross(c, d, a)
-    d4 = cross(c, d, b)
+    ha, hb, hc, hd = homogeneous(a), homogeneous(b), homogeneous(c), homogeneous(d)
+    d1 = det3(ha, hb, hc)
+    d2 = det3(ha, hb, hd)
+    d3 = det3(hc, hd, ha)
+    d4 = det3(hc, hd, hb)
 
     if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
         return None
@@ -83,8 +136,8 @@ def segments_intersect(a, b, c, d):
         elif a[1] != b[1]:
             key = 1
         else:
-            # [a,b] degenerate to a point
-            return ("point", Point2(a[0], a[1])) if on_segment(a, c, d) else None
+            # [a,b] degenerate to a point, collinear with c and d (d3 == d4 == 0)
+            return ("point", Point2(a[0], a[1])) if between(ha, hc, hd) else None
         lo1, hi1 = (a, b) if a[key] <= b[key] else (b, a)
         if c[key] <= d[key]:
             lo2, hi2 = c, d
@@ -98,24 +151,10 @@ def segments_intersect(a, b, c, d):
             return ("point", Point2(lo[0], lo[1]))
         return ("overlap", Point2(lo[0], lo[1]), Point2(hi[0], hi[1]))
 
-    # Proper or endpoint-touching intersection of non-parallel lines.
-    denom = d1 - d2  # == cross of directions, nonzero here unless parallel touch
-    if denom == 0:
-        # Parallel non-collinear with a zero somewhere: only endpoint grazing possible.
-        for p in (c, d):
-            if on_segment(p, a, b):
-                return ("point", Point2(p[0], p[1]))
-        for p in (a, b):
-            if on_segment(p, c, d):
-                return ("point", Point2(p[0], p[1]))
-        return None
-    t = d1 / denom  # position of the crossing along [c,d]
-    px = c[0] + t * (d[0] - c[0])
-    py = c[1] + t * (d[1] - c[1])
-    p = Point2(px, py)
-    if on_segment(p, a, b) and on_segment(p, c, d):
-        return ("point", p)
-    return None
+    # c and d lie on opposite closed sides of line ab, not both on it, and a
+    # and b on opposite sides of line cd. Parallel lines would give d1 == d2,
+    # so the lines cross, and their one meet lies on both segments.
+    return ("point", from_homogeneous(meet(join(ha, hb), join(hc, hd))))
 
 
 def line_intersection(p1, p2, p3, p4) -> Optional[Point2]:

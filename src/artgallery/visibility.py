@@ -28,8 +28,8 @@ from artgallery.gallery import PinchedGallery, SkeletalGallery, as_polygon
 from artgallery.geom.primitives import (
     Point2,
     Segment2,
-    cross,
     line_intersection,
+    orient,
     pt,
     same_direction,
     segments_intersect,
@@ -411,7 +411,7 @@ def skeletal_visibility(skel: SkeletalGallery, x) -> Tuple[Segment2, ...]:
         raise NotInGallery(f"viewpoint {x} not in gallery")
     lines = {}  # slope -> (direction, the gallery segments on that line through x)
     for s in skel.segments:
-        if cross(s.a, s.b, x) == 0:
+        if orient(s.a, s.b, x) == 0:
             d = (s.b[0] - s.a[0], s.b[1] - s.a[1])
             lines.setdefault(d[1] / d[0] if d[0] else None, (d, []))[1].append(s)
     runs = []

@@ -2,9 +2,10 @@
 
 import random
 
+from exact_oracle import cross
+
 from artgallery.geom.primitives import (
     angle_less,
-    cross,
     direction_class,
     line_intersection,
     on_segment,

@@ -23,7 +23,7 @@ from artgallery import docio
 from artgallery.gallery import Gallery
 from artgallery.galleries import gen_simple, gen_star
 from artgallery.geom.polygon import PolygonWithHoles, locate_in_polygon, point_in_region, region_bbox
-from artgallery.geom.primitives import Point2, cross
+from artgallery.geom.primitives import Point2, orient
 from artgallery.kernel import kernel_simple
 from artgallery.rational import rat
 from artgallery.visibility import common_visibility, sees, visibility_polygon
@@ -91,7 +91,7 @@ def targets(g):
 
 def on_vertex_line(g, x, y) -> bool:
     """y is collinear with x and some gallery vertex other than x."""
-    return any(v != x and cross(x, v, y) == 0 for ring in g.polygon.rings() for v in ring)
+    return any(v != x and orient(x, v, y) == 0 for ring in g.polygon.rings() for v in ring)
 
 
 def test_region_is_the_seen_set_up_to_vertex_lines(sweep):
