@@ -21,9 +21,8 @@ from typing import Iterator, List, Optional, Tuple
 from artgallery.rational import rat, rationalize
 from artgallery.gallery import Gallery
 from artgallery.geom.primitives import Point2, orient, pt
-from artgallery.geom.polygon import PolygonWithHoles, Region, as_region, region_bbox
+from artgallery.geom.polygon import PolygonWithHoles, Region, region_bbox
 from artgallery.geom.convex import ConvexPolygon, HalfPlane
-from artgallery.geom.boolean import region_boolean
 from artgallery.kernel import kernel_halfplanes
 from artgallery import inscribe
 
@@ -48,12 +47,13 @@ class CandidateSet:
         return len(self.points)
 
     @staticmethod
-    def from_points(gallery, points, tag: str = "user") -> "CandidateSet":
+    def from_points(gallery, points) -> "CandidateSet":
+        """User-given candidates, tagged "user"."""
         pts = tuple(pt(p) for p in points)
         for p in pts:
             if not gallery.contains(p):
                 raise ValueError(f"candidate {p} is not in the gallery")
-        return CandidateSet(pts, (tag,) * len(pts))
+        return CandidateSet(pts, ("user",) * len(pts))
 
     @staticmethod
     def default(gallery, seed: int = 0, random_count: int = 20) -> "CandidateSet":
@@ -453,132 +453,87 @@ def _colorful_core(gallery, classes, cfg, name, theorem, preconditions) -> Theor
 # Quantitative checkers
 
 
-def _circumscribed_disc_polygon(center, r, verts: int = 96) -> Optional[ConvexPolygon]:
-    """Convex polygon certified (exactly) to contain the disc of radius r."""
-    cx, cy = rat(center[0]), rat(center[1])
-    r = rat(r)
-    R = float(r) / math.cos(math.pi / verts) * (1.0 + 1e-9)
-    ring = [
-        Point2(
-            cx + rationalize(R * math.cos(2 * math.pi * k / verts)),
-            cy + rationalize(R * math.sin(2 * math.pi * k / verts)),
-        )
-        for k in range(verts)
-    ]
-    poly = ConvexPolygon(ring)
-    if poly.degenerate:
-        return None
-    for hp in poly.halfplanes():
-        slack = hp.c - (hp.a * cx + hp.b * cy)
-        if slack < 0 or slack * slack < r * r * (hp.a * hp.a + hp.b * hp.b):
-            return None  # apothem dipped below r; not a certificate
-    return poly
-
-
-def _region_contains_convex(region: Region, convex: ConvexPolygon) -> bool:
-    diff = region_boolean("difference", Region((convex.to_polygon(),)), region)
-    return diff.is_empty()
-
-
-def _disc_in_region(region: Region, center, r) -> bool:
-    poly = _circumscribed_disc_polygon(center, r)
-    if poly is None:
-        return False
-    return _region_contains_convex(region, poly)
-
-
-def _witness_in_shape(shape, family, cfg, convex_hint: bool):
+def _witness_in_shape(shape, family, cfg):
     """(status, witness, qualifier): status in holds | fails | undetermined.
 
-    "fails" is only returned when absence is certified (exact area
-    obstructions, or exact optima over convex shapes); searches that simply
-    fail to find a witness return "undetermined".
+    The shape is a ConvexPolygon or a Region, and the searches take their
+    path from its type. "fails" is only returned when absence is certified
+    (exact area obstructions, or exact optima over convex shapes); searches
+    that simply fail to find a witness return "undetermined".
     """
     threshold = rat(cfg.threshold)
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     tol = rat(cfg.tolerance)
+    convex = isinstance(shape, ConvexPolygon)
 
-    empty = shape.is_empty() if hasattr(shape, "is_empty") else False
     if family in ("box-volume", "box-sum", "disc", "ellipse", "region-area"):
-        total = rat(0) if empty else shape.area()
+        total = shape.area()
         if family == "region-area":
             if total >= threshold - tol:
                 return "holds", ("region-area", total), None
             return "fails", None, None
-        # exact area obstructions certify absence
-        if family == "box-volume" and total < threshold - tol:
+        # exact area obstructions certify absence; a box, disc or ellipse of
+        # positive size has positive area
+        if total == 0:
             return "fails", None, None
-        if family == "ellipse" and total < threshold - tol:
+        if family in ("box-volume", "ellipse") and total < threshold - tol:
             return "fails", None, None
         if family == "disc" and rat("3.14159265") * threshold * threshold > total:
             return "fails", None, None
-    if empty:
+    if shape.is_empty():
         return "fails", None, None  # nothing of positive size fits
-    if family == "box-sum":
-        (x0, y0), (x1, y1) = region_bbox(shape)
-        if (x1 - x0) + (y1 - y0) < threshold - tol:
-            return "fails", None, None  # bounding box caps every contained box
 
-    if family == "box-volume":
-        box = inscribe.contains_box_of_area(shape, threshold, convex_hint=convex_hint)
-        if box is not None and inscribe.contains_box(shape, box, convex_hint=convex_hint):
-            return "holds", box, None
-        return "undetermined", None, "box-scan-resolution"
-    if family == "box-sum":
-        box = inscribe.contains_box_of_axis_sum(shape, threshold, convex_hint=convex_hint)
-        if box is not None and inscribe.contains_box(shape, box, convex_hint=convex_hint):
+    if family in ("box-volume", "box-sum"):
+        if family == "box-volume":
+            box = inscribe.contains_box_of_area(shape, threshold)
+        else:
+            (x0, y0), (x1, y1) = region_bbox(shape)
+            if (x1 - x0) + (y1 - y0) < threshold - tol:
+                return "fails", None, None  # bounding box caps every contained box
+            box = inscribe.contains_box_of_axis_sum(shape, threshold)
+        if box is not None and inscribe.contains_box(shape, box):
             return "holds", box, None
         return "undetermined", None, "box-scan-resolution"
     if family == "disc":
-        region = as_region(shape)
-        if convex_hint:
-            disc = inscribe.max_inscribed_disc(shape)
-            if disc.r >= float(threshold) - float(tol):
-                center = (rationalize(disc.cx), rationalize(disc.cy))
-                if _disc_in_region(region, center, threshold):
-                    return "holds", inscribe.Disc(disc.cx, disc.cy, float(threshold)), None
-                return "undetermined", None, "disc-certificate-failed"
+        if not convex:
+            hit = inscribe.nonconvex_disc_search(shape, threshold)
+            if hit is not None:
+                return "holds", hit, None
+            return "undetermined", None, "disc-grid-resolution"
+        disc = inscribe.max_inscribed_disc(shape)
+        if disc.r < float(threshold) - float(tol):
             return "fails", None, "disc-lp-float"
-        hit = _nonconvex_disc_search(region, threshold)
-        if hit is not None:
-            return "holds", hit, None
-        return "undetermined", None, "disc-grid-resolution"
+        if inscribe.contains_disc(shape, (rationalize(disc.cx), rationalize(disc.cy)), threshold):
+            return "holds", inscribe.Disc(disc.cx, disc.cy, float(threshold)), None
+        return "undetermined", None, "disc-certificate-failed"
     if family == "ellipse":
-        if not convex_hint:
+        if not convex:
             return "undetermined", None, "ellipse-needs-convex"
         ell = inscribe.mvie(shape)
         if rat(ell.area()) >= threshold - tol:
             return "holds", ell, "mvie-float"
         return "fails", None, "mvie-float-not-certified"
-    if family == "vwidth-segment":
-        seg = inscribe.longest_vwidth_segment(shape, cfg.direction, convex_hint=convex_hint)
-        if seg is not None and rat(seg.value) >= threshold - tol:
+    if family in ("vwidth-segment", "norm-segment"):
+        if family == "vwidth-segment":
+            value = inscribe.directional_width(cfg.direction)
+            seg = inscribe.longest_vwidth_segment(shape, cfg.direction)
+        else:
+            if cfg.norm_ball is None:
+                raise ValueError("norm-segment needs a norm_ball")
+            value = cfg.norm_ball.norm
+            seg = inscribe.longest_norm_segment(shape, cfg.norm_ball)
+        if seg.value >= threshold - tol:
             return "holds", seg, None
-        if convex_hint:
+        if convex:
             return "fails", None, None  # exact optimum over a convex shape
-        vx, vy = rat(cfg.direction[0]), rat(cfg.direction[1])
-        vals = [p[0] * vx + p[1] * vy for ring in as_region(shape).rings() for p in ring]
-        if vals and max(vals) - min(vals) < threshold - tol:
-            return "fails", None, None  # the region's own width is too small
-        return "undetermined", None, "vwidth-vertex-pool"
-    if family == "norm-segment":
-        if cfg.norm_ball is None:
-            raise ValueError("norm-segment needs a norm_ball")
-        seg = inscribe.longest_norm_segment(shape, cfg.norm_ball, convex_hint=convex_hint)
-        if seg is not None and rat(seg.value) >= threshold - tol:
-            return "holds", seg, None
-        if convex_hint:
-            return "fails", None, None
-        pool = [v for ring in as_region(shape).rings() for v in ring]
-        bound = max(
-            (cfg.norm_ball.norm((b[0] - a[0], b[1] - a[1]))
-             for a, b in itertools.combinations(pool, 2)),
-            default=rat(0),
-        )
+        # a contained segment's ends lie in the hull of the region's
+        # vertices, and the value is convex in b - a
+        pool = [p for ring in shape.rings() for p in ring]
+        bound = max(value((b[0] - a[0], b[1] - a[1])) for a, b in itertools.product(pool, repeat=2))
         if bound < threshold - tol:
-            return "fails", None, None  # endpoints live on region vertices' hull
-        return "undetermined", None, "norm-vertex-pool"
+            return "fails", None, None
+        return "undetermined", None, family.replace("segment", "vertex-pool")
     raise ValueError(f"unknown witness family {family!r}")
 
 
@@ -595,36 +550,13 @@ def _region_as_convex(region: Region) -> Optional[ConvexPolygon]:
     return ConvexPolygon(vs)
 
 
-def _nonconvex_disc_search(region: Region, r, grid: int = 8):
-    from artgallery.geom.polygon import point_in_region
-
-    (x0, y0), (x1, y1) = region_bbox(region)
-    cells = sorted(
-        ((i, j) for i in range(1, grid) for j in range(1, grid)),
-        key=lambda ij: abs(ij[0] * 2 - grid) + abs(ij[1] * 2 - grid),
-    )
-    r = rat(r)
-    for i, j in cells:
-        c = Point2(x0 + (x1 - x0) * rat(i, grid), y0 + (y1 - y0) * rat(j, grid))
-        # cardinal points prune clearly poking discs before the exact boolean
-        probes = (c, Point2(c[0] + r, c[1]), Point2(c[0] - r, c[1]),
-                  Point2(c[0], c[1] + r), Point2(c[0], c[1] - r))
-        if not all(point_in_region(p, region) for p in probes):
-            continue
-        if _disc_in_region(region, c, r):
-            return inscribe.Disc(float(c[0]), float(c[1]), float(r))
-    return None
-
-
 def _common_witness(gallery, tup, cfg, cache=None):
     """Witness admission in the exact common visibility of a tuple (areal
     galleries only: check_quantitative has asked for the kernel first)."""
     common = gallery.common_visibility(tup, cache)
     if isinstance(common, Region):
         conv = _region_as_convex(common)
-        if conv is not None:
-            return _witness_in_shape(conv, cfg.family, cfg, convex_hint=True)
-        return _witness_in_shape(common, cfg.family, cfg, convex_hint=False)
+        return _witness_in_shape(common if conv is None else conv, cfg.family, cfg)
     # pinched: whole components plus at most 1-dimensional pieces
     if cfg.family == "region-area":
         total = common.area()
@@ -634,7 +566,7 @@ def _common_witness(gallery, tup, cfg, cache=None):
         return "fails", None, None
     for idx in common.full:
         comp = common.gallery.components[idx]
-        status, witness, q = _witness_in_shape(comp, cfg.family, cfg, convex_hint=True)
+        status, witness, q = _witness_in_shape(comp, cfg.family, cfg)
         if status == "holds":
             return status, witness, q
     if not common.full:
@@ -682,7 +614,7 @@ def check_quantitative(gallery, candidates: Optional[CandidateSet] = None,
         # no kernel at all, or a single point: nothing of positive size fits
         concl = "fails"
     else:
-        status, witness, q = _witness_in_shape(kern, cfg.family, cfg, convex_hint=True)
+        status, witness, q = _witness_in_shape(kern, cfg.family, cfg)
         if q:
             kernel_quals.append(q)
         concl = status
@@ -747,15 +679,10 @@ def _generator(name: str):
 
 
 def search_counterexample(generator, cfg: Optional[CheckConfig] = None,
-                          budget: int = 100, seed: int = 0, **gen_kwargs) -> List[TheoremReport]:
-    """Seeded fuzzing loop: generate, check, collect. Reports carry their
-    generation seed so any run reproduces standalone."""
-    return list(iter_counterexamples(generator, cfg, budget, seed, **gen_kwargs))
-
-
-def iter_counterexamples(generator, cfg: Optional[CheckConfig] = None,
-                         budget: int = 100, seed: int = 0, **gen_kwargs) -> Iterator[TheoremReport]:
-    """The reports of :func:`search_counterexample`, each checked as it is drawn."""
+                          budget: int = 100, seed: int = 0, **gen_kwargs) -> Iterator[TheoremReport]:
+    """Seeded fuzzing loop: the reports of `budget` generated galleries,
+    each checked as it is drawn. Reports carry their generation seed so any
+    run reproduces standalone."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     cfg = cfg or CheckConfig(theorem="classic")

@@ -105,14 +105,14 @@ def _load_candidates(gallery, spec: Optional[str]) -> Optional[CandidateSet]:
             points = gallery.class_points(name)
         except KeyError as exc:
             raise InputError(f"gallery has no class {name!r}") from exc
-        return CandidateSet.from_points(gallery, points, tag="user")
+        return CandidateSet.from_points(gallery, points)
     try:
         with open(spec, encoding="utf-8") as fh:
             raw = json.load(fh)
         points = [Point2(rat(x), rat(y)) for x, y in raw]
     except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
         raise InputError(f"cannot read candidates from {spec!r}: {exc}") from exc
-    return CandidateSet.from_points(gallery, points, tag="user")
+    return CandidateSet.from_points(gallery, points)
 
 
 def _class_selection(gallery, names: Optional[str]) -> List[tuple]:
@@ -167,7 +167,7 @@ def cmd_check(args) -> int:
     t0 = time.monotonic()
     cfg = _check_config(args)
     if args.generator:
-        runs = checkers.iter_counterexamples(
+        runs = checkers.search_counterexample(
             args.generator, cfg, budget=args.budget, seed=args.seed
         )
     else:

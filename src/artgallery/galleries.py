@@ -27,6 +27,15 @@ from artgallery.geom.convex import (
 from artgallery.gallery import Gallery, PinchedGallery, SkeletalGallery
 from artgallery.kernel import kernel_simple
 
+RANDOM_SPAN = 10  # random points lie in [0, RANDOM_SPAN)^2, on a 10^-5 grid
+CLAIM22_MAX_TRIES = 200  # draws of gen_claim22 before giving up on general position
+SPIKE_M = 10  # gen_spiked: spike tips at radius M
+SPIKE_MP = 2  # gen_spiked: radius M' of the disc the spikes grow from
+MAX_SPIKES = 10**4  # gen_spiked: largest spike count tried
+STAR_IRREGULARITY = 0.6  # gen_star: radii drawn from 1 +- this
+SIMPLE_MAX_ROUNDS = 400  # gen_simple: 2-opt rounds per random tour
+EMPTY_KERNEL_MAX_DRAWS = 400  # gen_empty_kernel: polygons drawn before giving up
+
 
 # ---------------------------------------------------------------------------
 # Figure galleries
@@ -87,13 +96,14 @@ def gen_spider() -> SkeletalGallery:
 # Colorful skeletal counterexamples, any number of classes (d = 2)
 
 
-def _rand_point(rng: random.Random, span: int = 10) -> Point2:
+def _rand_point(rng: random.Random) -> Point2:
     return Point2(
-        Q(rng.randrange(0, span * 10**5), 10**5), Q(rng.randrange(0, span * 10**5), 10**5)
+        Q(rng.randrange(0, RANDOM_SPAN * 10**5), 10**5),
+        Q(rng.randrange(0, RANDOM_SPAN * 10**5), 10**5),
     )
 
 
-def gen_claim22(n: int, class_sizes: Sequence[int], seed: int, max_tries: int = 200) -> SkeletalGallery:
+def gen_claim22(n: int, class_sizes: Sequence[int], seed: int) -> SkeletalGallery:
     """Skeletal gallery where every colorful n-tuple has a guard seeing it
     but no class is commonly visible.
 
@@ -108,7 +118,7 @@ def gen_claim22(n: int, class_sizes: Sequence[int], seed: int, max_tries: int = 
         raise ValueError("need at least two classes")
     if len(class_sizes) != n or any(s < 3 for s in class_sizes):
         raise ValueError("every class needs at least 3 points")
-    for attempt in range(max_tries):
+    for attempt in range(CLAIM22_MAX_TRIES):
         rng = random.Random(f"claim22:{seed}:{attempt}")
         classes = [tuple(_rand_point(rng) for _ in range(s)) for s in class_sizes]
         tuples = list(itertools.product(*classes))
@@ -129,7 +139,7 @@ def gen_claim22(n: int, class_sizes: Sequence[int], seed: int, max_tries: int = 
         named = [(f"F{i + 1}", cls) for i, cls in enumerate(classes)]
         named.append(("guards", guards))
         return SkeletalGallery(segments, named, name=f"claim22-n{n}-seed{seed}").validate()
-    raise RuntimeError(f"general position not reached in {max_tries} tries (seed {seed})")
+    raise RuntimeError(f"general position not reached in {CLAIM22_MAX_TRIES} tries (seed {seed})")
 
 
 def _has_collinear_triple(points: Sequence[Point2]) -> bool:
@@ -238,7 +248,7 @@ def _apex(direction, M) -> Point2:
     return Point2(rationalize(float(M) * ux), rationalize(float(M) * uy))
 
 
-def f_volume(dirs, M=10, Mp=2, disc_poly_verts: int = 720, *, bprime=None, mdisc=None):
+def f_volume(dirs, M=10, Mp=2, disc_poly_verts: int = 720):
     """Exact area of (M'-disc polygon) ∩ (∩ cones from the apexes M*v).
 
     dirs may be angles or direction vectors. The value is always > 1: the
@@ -246,10 +256,8 @@ def f_volume(dirs, M=10, Mp=2, disc_poly_verts: int = 720, *, bprime=None, mdisc
     """
     if float(Mp) >= float(M):
         raise ValueError("need M' < M")
-    if bprime is None:
-        bprime = disc_polygon(disc_poly_verts, area=1)
-    if mdisc is None:
-        mdisc = disc_polygon(disc_poly_verts, radius=Mp)
+    bprime = disc_polygon(disc_poly_verts, area=1)
+    mdisc = disc_polygon(disc_poly_verts, radius=Mp)
     planes = []
     for v in dirs:
         planes.extend(cone_halfplanes(_apex(v, M), bprime))
@@ -466,12 +474,9 @@ def _spiked_outline(mdisc: ConvexPolygon, apexes, touches) -> SimplePolygon:
 
 def gen_spiked(
     n: int = 4,
-    M=10,
-    Mp=2,
     disc_poly_verts: int = 720,
     seed: int = 0,
     budget: int = 24,
-    max_spikes: int = 10**4,
 ) -> Tuple[Gallery, SpikedGalleryParams]:
     """The non-exactness gallery: an M'-disc with spikes to radius M.
 
@@ -480,10 +485,9 @@ def gen_spiked(
     m = min f, set eps = 1/2 - 1/(2m) and delta = eps/(2(1-2eps)), take the
     smallest count of equally spaced spike directions whose cone intersection
     has area <= 1 + delta inside the M'-disc, union the spikes, scale by
-    m^(-1/2).
+    m^(-1/2). M = SPIKE_M and M' = SPIKE_MP, with area-1 disc radius < M' < M.
     """
-    if not (1.0 / math.sqrt(math.pi) < float(Mp) < float(M)):
-        raise ValueError("need area-1 disc radius < M' < M")
+    M, Mp = SPIKE_M, SPIKE_MP
     bprime = disc_polygon(disc_poly_verts, area=1)
     mdisc = disc_polygon(disc_poly_verts, radius=Mp)
 
@@ -500,7 +504,7 @@ def gen_spiked(
     eps_hat = rat(1, 2) - 1 / (2 * m_val)
     delta_hat = eps_hat / (2 * (1 - 2 * eps_hat))
 
-    for count in range(max(3, n), max_spikes + 1):
+    for count in range(max(3, n), MAX_SPIKES + 1):
         angles = spike_angles(count)
         apexes = [_apex(a, M) for a in angles]
         per_apex = [cone_halfplanes(apex, bprime) for apex in apexes]
@@ -525,7 +529,7 @@ def gen_spiked(
         if core.area() <= 1 + delta:
             break
     else:
-        raise RuntimeError(f"no spike count up to {max_spikes} meets the area bound")
+        raise RuntimeError(f"no spike count up to {MAX_SPIKES} meets the area bound")
 
     touches = [_tangent_vertices(apex, bprime) for apex in apexes]
     outer = _spiked_outline(mdisc, apexes, touches)
@@ -559,7 +563,7 @@ def gen_spiked(
 # Random polygon corpora
 
 
-def gen_star(seed: int, n_vertices: int, irregularity: float = 0.6) -> SimplePolygon:
+def gen_star(seed: int, n_vertices: int) -> SimplePolygon:
     """Random star-shaped polygon with the origin provably in its kernel.
 
     Radial construction; radii are damped until the origin lies in every edge
@@ -571,7 +575,7 @@ def gen_star(seed: int, n_vertices: int, irregularity: float = 0.6) -> SimplePol
     base = [
         2.0 * math.pi * (k + rng.uniform(0.05, 0.95)) / n_vertices for k in range(n_vertices)
     ]
-    radii = [1.0 + irregularity * rng.uniform(-1.0, 1.0) for _ in range(n_vertices)]
+    radii = [1.0 + STAR_IRREGULARITY * rng.uniform(-1.0, 1.0) for _ in range(n_vertices)]
     for _ in range(64):
         verts = [
             Point2(rationalize(r * math.cos(t)), rationalize(r * math.sin(t)))
@@ -593,7 +597,7 @@ def gen_star(seed: int, n_vertices: int, irregularity: float = 0.6) -> SimplePol
     )
 
 
-def gen_simple(seed: int, n_vertices: int, span: int = 10, max_rounds: int = 400) -> SimplePolygon:
+def gen_simple(seed: int, n_vertices: int) -> SimplePolygon:
     """Random simple polygon via 2-opt untangling of a random tour."""
     if n_vertices < 3:
         raise ValueError("need at least 3 vertices")
@@ -602,7 +606,7 @@ def gen_simple(seed: int, n_vertices: int, span: int = 10, max_rounds: int = 400
         rng = random.Random(f"simple:{seed}:{attempt}")
         pts = []
         while len(pts) < n_vertices:
-            p = _rand_point(rng, span)
+            p = _rand_point(rng)
             if p not in pts:
                 pts.append(p)
         if _has_collinear_triple(pts):
@@ -610,7 +614,7 @@ def gen_simple(seed: int, n_vertices: int, span: int = 10, max_rounds: int = 400
             continue
         rng.shuffle(pts)
         ring = pts[:]
-        for _ in range(max_rounds):
+        for _ in range(SIMPLE_MAX_ROUNDS):
             crossing = _first_crossing(ring)
             if crossing is None:
                 poly = SimplePolygon(tuple(ring))
@@ -637,10 +641,10 @@ def _first_crossing(ring) -> Optional[Tuple[int, int]]:
     return None
 
 
-def gen_empty_kernel(seed: int, n_vertices: int = 12, max_draws: int = 400) -> SimplePolygon:
+def gen_empty_kernel(seed: int, n_vertices: int = 12) -> SimplePolygon:
     """Random simple polygon with an exactly empty kernel."""
-    for attempt in range(max_draws):
+    for attempt in range(EMPTY_KERNEL_MAX_DRAWS):
         poly = gen_simple((seed, attempt), n_vertices)
         if kernel_simple(poly).is_empty():
             return poly
-    raise RuntimeError(f"no empty-kernel polygon in {max_draws} draws (seed {seed})")
+    raise RuntimeError(f"no empty-kernel polygon in {EMPTY_KERNEL_MAX_DRAWS} draws (seed {seed})")

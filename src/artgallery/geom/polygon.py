@@ -292,18 +292,17 @@ def region_bbox(region):
     return (min(xs), min(ys)), (max(xs), max(ys))
 
 
-def scale_region(region, s, center=(0, 0)):
-    """Scale about ``center`` by exact rational factor ``s``.
+def scale_region(region, s):
+    """Scale about the origin by exact rational factor ``s``.
 
     Floats are converted exactly; callers wanting a small-denominator factor
     should rationalize first.
     """
     s = rat(s)
-    cx, cy = rat(center[0]), rat(center[1])
     region = as_region(region)
 
     def tx(p):
-        return Point2(cx + s * (p[0] - cx), cy + s * (p[1] - cy))
+        return Point2(s * p[0], s * p[1])
 
     comps = []
     for c in region.components:

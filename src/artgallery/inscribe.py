@@ -1,12 +1,18 @@
 """Inscribed witnesses: boxes, discs, ellipses, and long segments.
 
-This is the numeric layer. Searches run in binary64 (and are deterministic);
-every witness that feeds back into exact reasoning is recertified:
+This is the numeric layer and the home of every witness certificate. Each
+search takes its path from the shape's type: the exact convex path for a
+`ConvexPolygon`, a certified search for a `Region`. Searches run in binary64
+(and are deterministic); every witness that feeds back into exact reasoning
+is recertified:
 
-  * box witnesses are constructed from exact erosions, so their containment
-    is exact by construction;
-  * disc witnesses are certified exactly by the checkers, which test that a
-    rational polygon circumscribing the disc lies in the region;
+  * box witnesses of the convex scans are constructed from exact erosions,
+    so their containment is exact by construction; `contains_box` checks a
+    box's corners in a convex polygon and an exact region difference in a
+    region;
+  * disc witnesses are certified by `contains_disc`: a rational 96-gon whose
+    apothem is exactly at least the radius lies in the shape (an exact
+    region difference);
   * ellipse witnesses are recertified by sampling 720 boundary points and
     requiring containment margin >= -1e-9;
   * segment witnesses are recertified by exact segment containment.
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -28,7 +34,18 @@ from artgallery.rational import rat, rationalize
 from artgallery.geom.primitives import Point2
 from artgallery.geom.polygon import Region, as_region, locate_in_polygon, point_in_region, region_bbox
 from artgallery.geom.convex import ConvexPolygon, HalfPlane, clip_convex, convex_hull
+from artgallery.geom.boolean import region_boolean
 from artgallery.visibility import segment_in_polygon
+
+BOX_SCAN_SAMPLES = 512  # widths per convex box scan
+BOX_GRID_ANCHORS = 24  # region box search: anchor steps per axis
+BOX_GRID_ASPECTS = 24  # region box search: widths tried
+DISC_GRID = 8  # region disc search: centre steps per axis
+DISC_POLYGON_VERTS = 96  # vertices of the rational polygon around a disc
+MVIE_TOL = 1e-8  # barrier continuation stops below this duality gap
+MVIE_MAX_ITER = 400
+ELLIPSE_SAMPLES = 720  # boundary points of the sampled ellipse certificate
+ELLIPSE_MARGIN = 1e-9
 
 # ---------------------------------------------------------------------------
 # Witness types
@@ -78,8 +95,8 @@ class Ellipse:
     def area(self) -> float:
         return math.pi * (self.a11 * self.a22 - self.a12 * self.a12)
 
-    def boundary_points(self, n: int = 720) -> np.ndarray:
-        t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    def boundary_points(self) -> np.ndarray:
+        t = np.linspace(0.0, 2.0 * math.pi, ELLIPSE_SAMPLES, endpoint=False)
         u = np.stack([np.cos(t), np.sin(t)])
         p = self.matrix() @ u
         return (p + np.array(self.center)[:, None]).T
@@ -124,22 +141,18 @@ class PolytopeNormBall:
 # Exact erosion and box search
 
 
-def _as_convex(shape) -> ConvexPolygon:
-    if isinstance(shape, ConvexPolygon):
-        return shape
-    region = as_region(shape)
-    if len(region.components) != 1 or region.components[0].holes:
-        raise ValueError("expected a convex shape")
-    return ConvexPolygon(region.components[0].outer.ccw().vertices)
+def _region_contains(region: Region, ring) -> bool:
+    """Exact containment of the polygon `ring` in region: the difference is
+    empty."""
+    return region_boolean("difference", Region((ring,)), region).is_empty()
 
 
-def erode_convex_by_box(convex, w, h) -> ConvexPolygon:
+def erode_convex_by_box(c: ConvexPolygon, w, h) -> ConvexPolygon:
     """Exact placement region for the min-corner of a w x h axis box in C.
 
     The box [x, x+w] x [y, y+h] lies in C iff (x, y) lies in every edge
     half-plane offset by the box's support in the edge normal.
     """
-    c = _as_convex(convex)
     w, h = rat(w), rat(h)
     if w < 0 or h < 0:
         raise ValueError("box sides must be nonnegative")
@@ -184,21 +197,21 @@ def _convex_box_scan(c: ConvexPolygon, widths, side_for_width) -> Optional[Box2]
     return None
 
 
-def contains_box_of_area(shape, target_area, convex_hint: bool = True, samples: int = 512) -> Optional[Box2]:
+def contains_box_of_area(shape, target_area) -> Optional[Box2]:
     """Search for an axis-parallel box of exactly the target area inside shape.
 
-    Convex path: log-spaced width scan (default 512 samples) over the feasible
-    width range, then local bisection refinement. The witness box has exact
-    rational sides with w*h == target_area. Returns None when the scan finds
-    nothing; that is a resolution statement, not a nonexistence proof.
+    Convex path: log-spaced width scan (512 samples) over the feasible width
+    range, then local bisection refinement. The witness box has exact
+    rational sides with w*h == target_area. Region path: a certified grid
+    placement search. Returns None when the search finds nothing; that is a
+    resolution statement, not a nonexistence proof.
     """
     a = rat(target_area)
     if a <= 0:
         raise ValueError("target area must be positive")
-    if not convex_hint:
+    if not isinstance(shape, ConvexPolygon):
         return _nonconvex_box_search(shape, lambda w: a / w)
-    c = _as_convex(shape)
-    (x0, y0), (x1, y1) = region_bbox(Region((c.to_polygon(),)))
+    (x0, y0), (x1, y1) = region_bbox(Region((shape.to_polygon(),)))
     W, H = x1 - x0, y1 - y0
     if W <= 0 or H <= 0 or a > W * H:
         return None
@@ -207,30 +220,31 @@ def contains_box_of_area(shape, target_area, convex_hint: bool = True, samples: 
         return None
 
     def widths():
-        if samples == 1 or w_lo == w_hi:
+        if w_lo == w_hi:
             yield rationalize(w_lo)
             return
         ratio = w_hi / w_lo
-        for k in range(samples):
-            w = w_lo * ratio ** (k / (samples - 1))
+        for k in range(BOX_SCAN_SAMPLES):
+            w = w_lo * ratio ** (k / (BOX_SCAN_SAMPLES - 1))
             w = min(max(w, w_lo), w_hi)
             wr = rationalize(w)
             if wr <= 0:
                 continue
             yield min(max(wr, a / H), W)
 
-    return _convex_box_scan(c, widths(), lambda w: a / w)
+    return _convex_box_scan(shape, widths(), lambda w: a / w)
 
 
-def contains_box_of_axis_sum(shape, axis_sum, convex_hint: bool = True, samples: int = 512) -> Optional[Box2]:
-    """Search for an axis box with w + h == axis_sum inside shape (exact sides)."""
+def contains_box_of_axis_sum(shape, axis_sum) -> Optional[Box2]:
+    """Search for an axis box with w + h == axis_sum inside shape (exact
+    sides): a linear width scan on a convex polygon, the certified grid
+    placement search on a region."""
     s = rat(axis_sum)
     if s <= 0:
         raise ValueError("axis sum must be positive")
-    if not convex_hint:
+    if not isinstance(shape, ConvexPolygon):
         return _nonconvex_box_search(shape, lambda w: s - w)
-    c = _as_convex(shape)
-    (x0, y0), (x1, y1) = region_bbox(Region((c.to_polygon(),)))
+    (x0, y0), (x1, y1) = region_bbox(Region((shape.to_polygon(),)))
     W, H = x1 - x0, y1 - y0
     w_lo = s - H if s - H > 0 else rat(1, 10**6) * s
     w_hi = W if W < s else s - rat(1, 10**6) * s
@@ -239,52 +253,43 @@ def contains_box_of_axis_sum(shape, axis_sum, convex_hint: bool = True, samples:
 
     def widths():
         lo, hi = float(w_lo), float(w_hi)
-        for k in range(samples):
-            w = lo + (hi - lo) * (k / max(samples - 1, 1))
+        for k in range(BOX_SCAN_SAMPLES):
+            w = lo + (hi - lo) * (k / (BOX_SCAN_SAMPLES - 1))
             wr = rationalize(w)
             yield min(max(wr, w_lo), w_hi)
 
-    return _convex_box_scan(c, widths(), lambda w: s - w)
+    return _convex_box_scan(shape, widths(), lambda w: s - w)
 
 
-def _nonconvex_box_search(shape, side_for_width, anchors: int = 24, aspects: int = 24) -> Optional[Box2]:
+def _nonconvex_box_search(region: Region, side_for_width) -> Optional[Box2]:
     """Grid placement search with exact certification (slow; small grids)."""
-    from artgallery.geom.boolean import region_boolean
-
-    region = as_region(shape)
-    if region.is_empty():
-        return None
     (x0, y0), (x1, y1) = region_bbox(region)
     W, H = x1 - x0, y1 - y0
-    for k in range(1, aspects + 1):
-        w = W * rat(k, aspects + 1)
+    for k in range(1, BOX_GRID_ASPECTS + 1):
+        w = W * rat(k, BOX_GRID_ASPECTS + 1)
         h = side_for_width(w)
-        if h is None or h <= 0 or h > H:
+        if h <= 0 or h > H:
             continue
-        for i in range(anchors + 1):
-            for j in range(anchors + 1):
-                ax = x0 + (W - w) * rat(i, anchors)
-                ay = y0 + (H - h) * rat(j, anchors)
+        for i in range(BOX_GRID_ANCHORS + 1):
+            for j in range(BOX_GRID_ANCHORS + 1):
+                ax = x0 + (W - w) * rat(i, BOX_GRID_ANCHORS)
+                ay = y0 + (H - h) * rat(j, BOX_GRID_ANCHORS)
                 box = Box2(ax, ay, w, h)
                 if all(point_in_region(p, region) for p in box.corners()):
-                    br = Region((box.corners(),))
-                    if region_boolean("difference", br, region).is_empty():
+                    if _region_contains(region, box.corners()):
                         return box
     return None
 
 
-def contains_box(shape, box: Box2, convex_hint: bool = True) -> bool:
+def contains_box(shape, box: Box2) -> bool:
     """Exact containment of an axis box (recertification entry point)."""
-    if convex_hint:
-        c = _as_convex(shape)
-        return all(c.contains(p) for p in box.corners())
-    from artgallery.geom.boolean import region_boolean
-
-    return region_boolean("difference", Region((box.corners(),)), as_region(shape)).is_empty()
+    if isinstance(shape, ConvexPolygon):
+        return all(shape.contains(p) for p in box.corners())
+    return _region_contains(shape, box.corners())
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev disc
+# Discs: the Chebyshev disc and the disc certificate
 
 
 def _unit_normals(c: ConvexPolygon):
@@ -296,7 +301,7 @@ def _unit_normals(c: ConvexPolygon):
     return rows
 
 
-def max_inscribed_disc(shape) -> Disc:
+def max_inscribed_disc(c: ConvexPolygon) -> Disc:
     """Largest inscribed disc of a convex polygon (Chebyshev center).
 
     Solved by enumerating constraint triples of the 3-variable LP; ties in
@@ -305,7 +310,6 @@ def max_inscribed_disc(shape) -> Disc:
     estimate (the returned disc is always feasible; optimality is then
     best-effort).
     """
-    c = _as_convex(shape)
     rows = _unit_normals(c)
     if len(rows) > 150:
         cx = sum(float(v[0]) for v in c.vertices) / len(c.vertices)
@@ -336,6 +340,59 @@ def max_inscribed_disc(shape) -> Disc:
         raise ValueError("no inscribed disc found; degenerate polygon?")
     r, x, y = best
     return Disc(x, y, r)
+
+
+def _circumscribed_disc_polygon(center, r) -> Optional[ConvexPolygon]:
+    """Convex polygon certified (exactly) to contain the disc of radius r."""
+    cx, cy = rat(center[0]), rat(center[1])
+    r = rat(r)
+    R = float(r) / math.cos(math.pi / DISC_POLYGON_VERTS) * (1.0 + 1e-9)
+    ring = [
+        Point2(
+            cx + rationalize(R * math.cos(2 * math.pi * k / DISC_POLYGON_VERTS)),
+            cy + rationalize(R * math.sin(2 * math.pi * k / DISC_POLYGON_VERTS)),
+        )
+        for k in range(DISC_POLYGON_VERTS)
+    ]
+    poly = ConvexPolygon(ring)
+    if poly.degenerate:
+        return None
+    for hp in poly.halfplanes():
+        slack = hp.c - (hp.a * cx + hp.b * cy)
+        if slack < 0 or slack * slack < r * r * (hp.a * hp.a + hp.b * hp.b):
+            return None  # apothem dipped below r; not a certificate
+    return poly
+
+
+def contains_disc(shape, center, r) -> bool:
+    """Exact certificate for the disc of radius r about a rational center:
+    a rational polygon around the disc lies in shape."""
+    poly = _circumscribed_disc_polygon(center, r)
+    if poly is None:
+        return False
+    return _region_contains(as_region(shape), poly.vertices)
+
+
+def nonconvex_disc_search(region: Region, r) -> Optional[Disc]:
+    """Certified disc of radius r centred on a grid point of the region's
+    bounding box, nearest the box's centre first; None when no grid centre
+    holds one."""
+    (x0, y0), (x1, y1) = region_bbox(region)
+    cells = sorted(
+        ((i, j) for i in range(1, DISC_GRID) for j in range(1, DISC_GRID)),
+        key=lambda ij: abs(ij[0] * 2 - DISC_GRID) + abs(ij[1] * 2 - DISC_GRID),
+    )
+    r = rat(r)
+    for i, j in cells:
+        c = Point2(x0 + (x1 - x0) * rat(i, DISC_GRID), y0 + (y1 - y0) * rat(j, DISC_GRID))
+        # cardinal points prune clearly poking discs before the exact boolean
+        probes = (c, Point2(c[0] + r, c[1]), Point2(c[0] - r, c[1]),
+                  Point2(c[0], c[1] + r), Point2(c[0], c[1] - r))
+        if not all(point_in_region(p, region) for p in probes):
+            continue
+        if contains_disc(region, c, r):
+            return Disc(float(c[0]), float(c[1]), float(r))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +434,14 @@ def _mvie_grad(z, rows, mu):
     return g
 
 
-def mvie(shape, tol: float = 1e-8, max_iter: int = 400) -> Ellipse:
+def mvie(c: ConvexPolygon) -> Ellipse:
     """Maximum-volume inscribed ellipse of a convex polygon.
 
     Damped Newton ascent on the log-det barrier formulation with barrier
     continuation; the returned ellipse satisfies the sampled containment
-    recertification, and the final KKT (duality-gap) residual is below tol.
+    recertification, and the final KKT (duality-gap) residual is below
+    MVIE_TOL.
     """
-    c = _as_convex(shape)
     rows = _unit_normals(c)
     disc = max_inscribed_disc(c)
     r0 = disc.r * 0.5
@@ -392,7 +449,7 @@ def mvie(shape, tol: float = 1e-8, max_iter: int = 400) -> Ellipse:
 
     mu = 1.0
     it = 0
-    while mu * len(rows) > tol * 0.25 and it < max_iter:
+    while mu * len(rows) > MVIE_TOL * 0.25 and it < MVIE_MAX_ITER:
         # Newton with finite-difference Hessian of the analytic gradient.
         for _ in range(60):
             it += 1
@@ -423,36 +480,51 @@ def mvie(shape, tol: float = 1e-8, max_iter: int = 400) -> Ellipse:
             if t <= 1e-12:
                 break
             z = z + t * step
-            if np.linalg.norm(g) < max(tol * 0.1, mu * 1e-3):
+            if np.linalg.norm(g) < max(MVIE_TOL * 0.1, mu * 1e-3):
                 break
         mu *= 0.15
     ell = Ellipse((z[0], z[1]), z[2], z[3], z[4])
     # Clamp to certified containment (shrink very slightly if needed).
     for _ in range(8):
-        if ellipse_contained(c, ell, margin=1e-9):
+        if ellipse_contained(c, ell):
             return ell
         shrink = 1.0 - 1e-9
         ell = Ellipse(ell.center, ell.a11 * shrink, ell.a12 * shrink, ell.a22 * shrink)
     return ell
 
 
-def ellipse_contained(shape, ell: Ellipse, margin: float = 1e-9, samples: int = 720) -> bool:
+def ellipse_contained(c: ConvexPolygon, ell: Ellipse) -> bool:
     """Recertify an ellipse witness by sampled boundary containment."""
-    c = _as_convex(shape)
     rows = _unit_normals(c)
-    pts = ell.boundary_points(samples)
+    pts = ell.boundary_points()
     for a, b, cc in rows:
-        if np.max(pts[:, 0] * a + pts[:, 1] * b - cc) > margin:
+        if np.max(pts[:, 0] * a + pts[:, 1] * b - cc) > ELLIPSE_MARGIN:
             return False
     return True
 
 
 # ---------------------------------------------------------------------------
 # Longest segments under directional width and Minkowski norms
+#
+# A family's value of the segment from a to b is value(b - a), for a value
+# function convex in the difference: the directional width <d, v> or a
+# Minkowski norm.
 
 
-def _region_vertex_pool(shape) -> List[Point2]:
-    region = as_region(shape)
+def directional_width(v):
+    """The value function d -> <d, v> of the vwidth family (v nonzero)."""
+    vx, vy = rat(v[0]), rat(v[1])
+    if vx == 0 and vy == 0:
+        raise ValueError("direction must be nonzero")
+    return lambda d: d[0] * vx + d[1] * vy
+
+
+def _span(a, b):
+    """b - a: the vector the segment from a to b spans."""
+    return (b[0] - a[0], b[1] - a[1])
+
+
+def _region_vertex_pool(region: Region) -> List[Point2]:
     pts: List[Point2] = []
     for ring in region.rings():
         pts.extend(ring)
@@ -463,38 +535,6 @@ def _region_vertex_pool(shape) -> List[Point2]:
     return list(dict.fromkeys(pts))
 
 
-def longest_vwidth_segment(shape, v, convex_hint: bool = True) -> SegmentWitness:
-    """Longest contained segment measured by directional width <b - a, v>.
-
-    Exact for convex shapes (extreme vertices realize the width). For
-    non-convex regions: certified vertex/midpoint pair search, which may be
-    suboptimal (certified=False marks the weaker guarantee).
-    """
-    vx, vy = rat(v[0]), rat(v[1])
-    if vx == 0 and vy == 0:
-        raise ValueError("direction must be nonzero")
-    if convex_hint:
-        c = _as_convex(shape)
-        lo = min(c.vertices, key=lambda p: (p[0] * vx + p[1] * vy, p[0], p[1]))
-        hi = max(c.vertices, key=lambda p: (p[0] * vx + p[1] * vy, -p[0], -p[1]))
-        return SegmentWitness(lo, hi, (hi[0] - lo[0]) * vx + (hi[1] - lo[1]) * vy, True)
-    region = as_region(shape)
-    pool = _region_vertex_pool(region)
-    pairs = sorted(
-        ((a, b) for a in pool for b in pool),
-        key=lambda ab: (ab[1][0] - ab[0][0]) * vx + (ab[1][1] - ab[0][1]) * vy,
-        reverse=True,
-    )
-    for a, b in pairs:
-        val = (b[0] - a[0]) * vx + (b[1] - a[1]) * vy
-        if val < 0:
-            break
-        if _segment_in_region(region, a, b):
-            return SegmentWitness(a, b, val, False)
-    p = pool[0]
-    return SegmentWitness(p, p, rat(0), False)
-
-
 def _segment_in_region(region: Region, a, b) -> bool:
     for comp in region.components:
         if locate_in_polygon(a, comp) != "out" and locate_in_polygon(b, comp) != "out":
@@ -503,32 +543,48 @@ def _segment_in_region(region: Region, a, b) -> bool:
     return False
 
 
-def longest_norm_segment(shape, ball: PolytopeNormBall, convex_hint: bool = True) -> SegmentWitness:
-    """Longest contained segment measured by the ball's Minkowski norm.
-
-    Exact for convex shapes: the norm is convex, so the maximum over C x C is
-    attained at a vertex pair.
-    """
-    if convex_hint:
-        c = _as_convex(shape)
-        best = None
-        for a, b in combinations(c.vertices, 2):
-            val = ball.norm((b[0] - a[0], b[1] - a[1]))
-            if best is None or val > best.value:
-                best = SegmentWitness(a, b, val, True)
-        if best is None:
-            v = c.vertices[0]
-            return SegmentWitness(v, v, rat(0), True)
-        return best
-    region = as_region(shape)
+def _longest_pool_segment(region: Region, value) -> SegmentWitness:
+    """Certified search over ordered pairs of region vertices and edge
+    midpoints, best value first; it may be suboptimal (certified=False
+    marks the weaker guarantee)."""
     pool = _region_vertex_pool(region)
     scored = sorted(
-        ((ball.norm((b[0] - a[0], b[1] - a[1])), a, b) for a, b in combinations(pool, 2)),
+        ((value(_span(a, b)), a, b) for a, b in product(pool, repeat=2)),
         key=lambda t: t[0],
         reverse=True,
     )
     for val, a, b in scored:
+        if val < 0:
+            break
         if _segment_in_region(region, a, b):
             return SegmentWitness(a, b, val, False)
     p = pool[0]
     return SegmentWitness(p, p, rat(0), False)
+
+
+def longest_vwidth_segment(shape, v) -> SegmentWitness:
+    """Longest contained segment measured by directional width <b - a, v>.
+
+    Exact for a convex polygon (extreme vertices realize the width); the
+    certified pool search for a region.
+    """
+    width = directional_width(v)
+    if not isinstance(shape, ConvexPolygon):
+        return _longest_pool_segment(shape, width)
+    lo = min(shape.vertices, key=lambda p: (width(p), p[0], p[1]))
+    hi = max(shape.vertices, key=lambda p: (width(p), -p[0], -p[1]))
+    return SegmentWitness(lo, hi, width(_span(lo, hi)), True)
+
+
+def longest_norm_segment(shape, ball: PolytopeNormBall) -> SegmentWitness:
+    """Longest contained segment measured by the ball's Minkowski norm.
+
+    Exact for a convex polygon: the norm is convex, so the maximum over
+    C x C is attained at an ordered vertex pair (the gauge of an asymmetric
+    ball differs between (a, b) and (b, a)). The certified pool search for a
+    region.
+    """
+    if not isinstance(shape, ConvexPolygon):
+        return _longest_pool_segment(shape, ball.norm)
+    a, b = max(product(shape.vertices, repeat=2), key=lambda ab: ball.norm(_span(*ab)))
+    return SegmentWitness(a, b, ball.norm(_span(a, b)), True)

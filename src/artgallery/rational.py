@@ -64,16 +64,19 @@ def _parse_number(text):
     return Q(Fraction(text))
 
 
-def rationalize(value, max_denominator=10**9):
-    """Nearest rational with denominator bounded by ``max_denominator``.
+MAX_DENOMINATOR = 10**9
+
+
+def rationalize(value):
+    """Nearest rational with denominator at most MAX_DENOMINATOR.
 
     This is the single sanctioned float->rational entry point for numeric
     results that feed back into exact constructions.
     """
     if isinstance(value, float):
-        f = Fraction(value).limit_denominator(max_denominator)
+        f = Fraction(value).limit_denominator(MAX_DENOMINATOR)
     else:
-        f = Fraction(rat(value)).limit_denominator(max_denominator)
+        f = Fraction(rat(value)).limit_denominator(MAX_DENOMINATOR)
     return Q(f.numerator) / Q(f.denominator)
 
 

@@ -24,6 +24,10 @@ _KERNEL_FILL = "#7fd98c"
 _CLASS_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _POINT_COLOR = "#000000"
 _SHAPE_FILLS = {"region": _REGION_FILL, "kernel": _KERNEL_FILL}
+_SHAPE_OPACITY = "0.6"
+_POINT_RADIUS = 4.0
+_SIZE = 640  # longer side of the viewport, in SVG units
+_MARGIN = 0.05  # padding around the gallery, as a share of its longer side
 _ORDER = ("region", "kernel", "points", "classes")
 
 
@@ -41,14 +45,14 @@ def _fmt(x: float) -> str:
 class _Canvas:
     """Maps gallery coordinates into a y-down SVG viewport."""
 
-    def __init__(self, bounds, size: int = 640, margin: float = 0.05):
+    def __init__(self, bounds):
         (x0, y0), (x1, y1) = bounds
         x0, y0, x1, y1 = (float(v) for v in (x0, y0, x1, y1))
         w = max(x1 - x0, 1e-9)
         h = max(y1 - y0, 1e-9)
-        pad = margin * max(w, h)
+        pad = _MARGIN * max(w, h)
         self.x0, self.y1 = x0 - pad, y1 + pad
-        self.scale = size / max(w + 2 * pad, h + 2 * pad)
+        self.scale = _SIZE / max(w + 2 * pad, h + 2 * pad)
         self.width = (w + 2 * pad) * self.scale
         self.height = (h + 2 * pad) * self.scale
 
@@ -78,17 +82,17 @@ def _path_for_polygon(canvas, poly) -> str:
     return " ".join(parts)
 
 
-def _polygon_element(canvas, poly, fill, opacity="1.0", stroke=_GALLERY_EDGE) -> str:
+def _polygon_element(canvas, poly, fill, opacity="1.0") -> str:
     d = _path_for_polygon(canvas, poly)
     return (
         f'<path d="{d}" fill="{fill}" fill-rule="evenodd" fill-opacity="{opacity}" '
-        f'stroke="{stroke}" stroke-width="1"/>'
+        f'stroke="{_GALLERY_EDGE}" stroke-width="1"/>'
     )
 
 
-def _point_element(canvas, p, color, r: float = 4.0, label: Optional[str] = None) -> str:
+def _point_element(canvas, p, color, label: Optional[str] = None) -> str:
     x, y = canvas.xy(p)
-    el = f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{color}"/>'
+    el = f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(_POINT_RADIUS)}" fill="{color}"/>'
     if label:
         el += (
             f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 6)}" font-size="11" '
@@ -105,31 +109,31 @@ def _line_element(canvas, a, b, color, width: int) -> str:
     )
 
 
-def _shape_elements(canvas, shape, fill, opacity="0.6") -> List[str]:
+def _shape_elements(canvas, shape, fill) -> List[str]:
     """Elements of a Region, PolygonWithHoles, ConvexPolygon or Point2, or of
     a skeletal or pinched common visibility (whole components, segments and
     isolated points)."""
     if isinstance(shape, Point2):
         return [_point_element(canvas, shape, fill)]
     if isinstance(shape, (ConvexPolygon, PolygonWithHoles)):
-        return [_polygon_element(canvas, shape, fill, opacity)]
+        return [_polygon_element(canvas, shape, fill, _SHAPE_OPACITY)]
     if isinstance(shape, Region):
-        return [_polygon_element(canvas, c, fill, opacity) for c in shape.components]
+        return [_polygon_element(canvas, c, fill, _SHAPE_OPACITY) for c in shape.components]
     full = shape.full if isinstance(shape, PinchedCommonVisibility) else ()
     return (
-        [_polygon_element(canvas, shape.gallery.components[i], fill, opacity) for i in full]
+        [_polygon_element(canvas, shape.gallery.components[i], fill, _SHAPE_OPACITY) for i in full]
         + [_line_element(canvas, s.a, s.b, fill, 3) for s in shape.segments]
         + [_point_element(canvas, p, fill) for p in shape.points]
     )
 
 
-def render_svg(gallery, overlays: Sequence[Tuple[str, object]] = (), size: int = 640) -> str:
+def render_svg(gallery, overlays: Sequence[Tuple[str, object]] = ()) -> str:
     """Overlays: ("region", shape), ("kernel", shape), ("points", iterable),
     ("classes", None), drawn in that fixed z-order."""
     pts = [p for p, _ in gallery.structural_points()]
     if not pts:
         raise RenderError("gallery has no points")
-    canvas = _Canvas(_shape_bounds(pts), size=size)
+    canvas = _Canvas(_shape_bounds(pts))
 
     for kind, _ in overlays:
         if kind not in _ORDER:

@@ -25,6 +25,7 @@ from artgallery.galleries import gen_claim22, gen_empty_kernel, gen_fig1, gen_sp
 from artgallery.geom.convex import ConvexPolygon, HalfPlane
 from artgallery.geom.polygon import PolygonWithHoles
 from artgallery.geom.primitives import pt
+from artgallery.inscribe import PolytopeNormBall
 from artgallery.rational import rat
 
 
@@ -335,24 +336,24 @@ def test_report_guard_rejects_uncertified_violation():
 
 
 def test_search_counterexample_star_all_consistent():
-    reports = search_counterexample("star", budget=6, seed=0)
+    reports = list(search_counterexample("star", budget=6, seed=0))
     assert len(reports) == 6
     assert all(r.classification == "CONSISTENT" for r in reports)
     assert [r for r in reports if r.classification == "THEOREM_VIOLATION_CANDIDATE"] == []
 
 
 def test_search_counterexample_empty_kernel_all_vacuous():
-    reports = search_counterexample("empty-kernel", budget=4, seed=1)
+    reports = list(search_counterexample("empty-kernel", budget=4, seed=1))
     assert all(r.classification == "VACUOUS" for r in reports)
     assert all(r.violating_tuples for r in reports)
 
 
 def test_search_counterexample_reproduction_seeds():
-    reports = search_counterexample("star", budget=2, seed=3)
+    reports = list(search_counterexample("star", budget=2, seed=3))
     rep = dict(reports[0].reproduction)
     assert rep["generator"] == "star"
     assert isinstance(rep["seed"], int)
-    again = search_counterexample("star", budget=2, seed=3)
+    again = list(search_counterexample("star", budget=2, seed=3))
     assert [r.gallery for r in again] == [r.gallery for r in reports]
     assert [r.classification for r in again] == [r.classification for r in reports]
 
@@ -360,3 +361,55 @@ def test_search_counterexample_reproduction_seeds():
 def test_search_counterexample_validates_budget():
     with pytest.raises(ValueError):
         search_counterexample("star", budget=0)
+
+
+def test_search_counterexample_is_lazy_but_validates_eagerly():
+    drawn = []
+
+    def make(seed):
+        drawn.append(seed)
+        return Gallery(gen_star(seed, 12), name=f"star-{seed}")
+
+    runs = search_counterexample(make, budget=3, seed=0)
+    assert drawn == []
+    assert next(runs).classification == "CONSISTENT"
+    assert drawn == [0]
+    with pytest.raises(ValueError):
+        search_counterexample("star", CheckConfig(theorem="colorful-plane"))
+
+
+def seam_gallery():
+    """Two rooms meeting along x = 2: the kernel is the segment {2} x [1, 2]."""
+    return Gallery(
+        PolygonWithHoles([(0, 0), (2, 0), (2, 1), (4, 1), (4, 3), (2, 3), (2, 2), (0, 2)]),
+        name="seam",
+    )
+
+
+@pytest.mark.parametrize("family, threshold", [
+    ("box-sum", rat(1, 2)),
+    ("box-volume", rat(1, 10**12)),
+    ("ellipse", rat(1, 10**12)),
+    ("disc", rat(1, 10**12)),
+])
+def test_zero_area_kernel_certifies_that_no_witness_fits(family, threshold):
+    g = seam_gallery()
+    _, kern, _, _ = kernel_status(g)
+    assert isinstance(kern, ConvexPolygon) and kern.degenerate and not kern.is_empty()
+    cand = CandidateSet.from_points(g, [v for v, tag in g.structural_points() if tag == "vertex"])
+    rep = check_quantitative(g, cand, CheckConfig(family=family, threshold=threshold))
+    assert rep.conclusion_verdict == "fails"
+    assert rep.witnesses == ()
+
+
+def test_norm_segment_kernel_scores_both_directions():
+    """Under an asymmetric gauge a segment's length depends on its
+    direction: the kernel (the whole rectangle) holds the segment from
+    (0, 1) to (1/10, 0), of norm 21/10, though its reverse has norm 6/5."""
+    ball = PolytopeNormBall(ConvexPolygon([(1, 0), (0, 1), (-1, -1)]))
+    g = Gallery(PolygonWithHoles([(0, 0), (rat(1, 10), 0), (rat(1, 10), 1), (0, 1)]), name="rect")
+    rep = check_quantitative(g, cfg=CheckConfig(family="norm-segment", threshold=rat(2), norm_ball=ball))
+    assert rep.classification == "CONSISTENT"
+    ((label, seg),) = rep.witnesses
+    assert label == "kernel-norm-segment"
+    assert (seg.a, seg.b, seg.value) == (pt((0, 1)), pt((rat(1, 10), 0)), rat(21, 10))

@@ -171,3 +171,18 @@ def test_check_k_below_the_theorem_is_no_violation(tmp_path):
     det = json.loads(out.read_text())["deterministic"]
     assert det["classification"] == "CONSISTENT_WITH_CLAIM"
     assert det["preconditions"] == [["tuple-size>=3", False]]
+
+
+def test_check_zero_area_kernel_is_a_certified_failure(tmp_path):
+    """The kernel of this valid gallery is the segment {2} x [1, 2], which
+    holds no box: the check answers, it does not exit 2."""
+    seam = Gallery(
+        PolygonWithHoles([(0, 0), (2, 0), (2, 1), (4, 1), (4, 3), (2, 3), (2, 2), (0, 2)]),
+        name="seam",
+    )
+    path, out = tmp_path / "seam.json", tmp_path / "report.json"
+    path.write_text(docio.dumps(docio.gallery_to_document(seam)), encoding="utf-8")
+    assert main(["check", str(path), "--theorem", "box-sum", "--threshold", "1/2", "-o", str(out)]) == 0
+    det = json.loads(out.read_text())["deterministic"]
+    assert det["conclusion_verdict"] == "fails"
+    assert det["classification"] == "VACUOUS"

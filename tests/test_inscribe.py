@@ -2,15 +2,16 @@
 
 import math
 import random
+from itertools import combinations
 
 from artgallery.geom.convex import ConvexPolygon, convex_hull
-from artgallery.geom.polygon import Region
+from artgallery.geom.polygon import Region, point_in_region
 from artgallery.geom.primitives import pt
 from artgallery.inscribe import (
     Box2,
     Disc,
     PolytopeNormBall,
-    _as_convex,
+    _nonconvex_box_search,
     _unit_normals,
     contains_box,
     contains_box_of_area,
@@ -26,7 +27,7 @@ from artgallery.rational import rat
 
 def disc_contained(shape, disc: Disc, margin: float = 1e-9, samples: int = 720) -> bool:
     """Sampled boundary containment of a disc in a convex shape."""
-    rows = _unit_normals(_as_convex(shape))
+    rows = _unit_normals(shape)
     for t in range(samples):
         ang = 2.0 * math.pi * t / samples
         px = disc.cx + disc.r * math.cos(ang)
@@ -141,7 +142,7 @@ def test_longest_vwidth_segment_diagonal_direction():
 def test_longest_vwidth_segment_nonconvex_searches_every_component():
     left = [(0, 0), (1, 0), (1, 1), (0, 1)]
     right = [(5, 0), (9, 0), (9, 1), (5, 1)]
-    sw = longest_vwidth_segment(Region((left, right)), pt((1, 0)), convex_hint=False)
+    sw = longest_vwidth_segment(Region((left, right)), pt((1, 0)))
     assert sw.value == 4
     assert not sw.certified
 
@@ -159,3 +160,49 @@ def test_norm_ball_gauge():
     assert ball.norm(pt((1, 1))) == 2
     assert ball.norm(pt((rat(1, 2), 0))) == rat(1, 2)
     assert ball.norm(pt((0, 0))) == 0
+
+
+def test_longest_norm_segment_scores_ordered_pairs():
+    """The gauge of an asymmetric ball differs between b - a and a - b, so
+    the convex optimum is over ordered vertex pairs, and so is the region
+    pool search."""
+    ball = PolytopeNormBall(ConvexPolygon(tuple(pt(p) for p in [(1, 0), (0, 1), (-1, -1)])))
+    rect = [(0, 0), (rat(1, 10), 0), (rat(1, 10), 1), (0, 1)]
+    assert ball.norm(pt((0, -1))) == 2 and ball.norm(pt((rat(1, 10), -1))) == rat(21, 10)
+    sw = longest_norm_segment(ConvexPolygon(tuple(pt(p) for p in rect)), ball)
+    assert (sw.a, sw.b, sw.value, sw.certified) == (pt((0, 1)), pt((rat(1, 10), 0)), rat(21, 10), True)
+    sw = longest_norm_segment(Region((rect,)), ball)
+    assert (sw.a, sw.b, sw.value, sw.certified) == (pt((0, 1)), pt((rat(1, 10), 0)), rat(21, 10), False)
+
+
+def test_longest_norm_segment_symmetric_ball_keeps_first_unordered_pair():
+    """For a symmetric ball ordered pairs find the same first maximum as
+    unordered ones."""
+    hexagon = PolytopeNormBall(ConvexPolygon(tuple(pt(p) for p in
+                                                   [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)])))
+    rng = random.Random(7)
+    for _ in range(6):
+        hull = convex_hull([pt((rng.randrange(0, 9), rng.randrange(0, 9))) for _ in range(7)])
+        if hull.degenerate:
+            continue
+        for ball in (l1_ball(), hexagon):
+            best = None
+            for a, b in combinations(hull.vertices, 2):
+                val = ball.norm((b[0] - a[0], b[1] - a[1]))
+                if best is None or val > best[2]:
+                    best = (a, b, val)
+            sw = longest_norm_segment(hull, ball)
+            assert (sw.a, sw.b, sw.value) == best
+
+
+def test_region_box_search_certifies_containment():
+    """In this U every corner of the box [9/50, 27/10] x [0, 22/25] lies in
+    the region, but the box crosses the notch. Boxes of its size fit nowhere
+    in the U, so the grid search, asked for that size only, comes back
+    empty."""
+    u = Region(([(0, 0), (3, 0), (3, 3), (rat(27, 10), 3), (rat(27, 10), rat(3, 10)),
+                 (rat(3, 10), rat(3, 10)), (rat(3, 10), 3), (0, 3)],))
+    box = Box2(rat(9, 50), rat(0), rat(63, 25), rat(22, 25))
+    assert all(point_in_region(p, u) for p in box.corners())
+    assert not contains_box(u, box)
+    assert _nonconvex_box_search(u, lambda w: box.h if w == box.w else rat(-1)) is None

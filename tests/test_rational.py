@@ -1,7 +1,5 @@
 """Exact rational layer: construction, formatting, rationalization."""
 
-import math
-
 import pytest
 
 from artgallery.rational import fmt, rat, rationalize
@@ -52,7 +50,6 @@ def test_fmt_round_trips_past_the_int_str_digit_limit():
 
 def test_rationalize_recovers_simple_fractions():
     assert rationalize(1.0 / 3.0) == rat(1, 3)
-    assert rationalize(math.pi, 1000) == rat(355, 113)
 
 
 def test_exact_arithmetic_no_drift():
