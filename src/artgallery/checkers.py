@@ -20,9 +20,9 @@ from typing import Iterator, List, Optional, Tuple
 
 from artgallery.rational import rat, rationalize
 from artgallery.gallery import Gallery
-from artgallery.geom.primitives import Point2, orient, pt
+from artgallery.geom.primitives import Point2, meet, orient, pt
 from artgallery.geom.polygon import PolygonWithHoles, Region, region_bbox
-from artgallery.geom.convex import ConvexPolygon, HalfPlane
+from artgallery.geom.convex import ConvexPolygon
 from artgallery.kernel import kernel_halfplanes
 from artgallery import inscribe
 
@@ -212,30 +212,32 @@ def kernel_status(gallery):
     return gallery.kernel_status()
 
 
-def halfplane_triple_empty(h1: HalfPlane, h2: HalfPlane, h3: HalfPlane) -> bool:
-    """Exact emptiness of the intersection of three half-planes.
+def halfplane_triple_empty(l1, l2, l3) -> bool:
+    """Exact emptiness of the intersection of three closed half-planes, each
+    given as its integer line (A, B, C) for A*x + B*y <= C (`HalfPlane.line`).
 
     Nonempty intersections with no parallel pair always expose a feasible
     pairwise line crossing (a pointed 2D polyhedron has a vertex), so testing
-    the crossings plus antiparallel slabs decides emptiness.
+    the crossings plus antiparallel slabs decides emptiness. A crossing is one
+    homogeneous line meet (X, Y, W), W > 0, and lies in a half-plane when
+    A*X + B*Y <= C*W.
     """
-    hs = (h1, h2, h3)
+    lines = (l1, l2, l3)
     crossings = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            p, q = hs[i], hs[j]
-            det = p.a * q.b - p.b * q.a
-            if det == 0:
-                if p.a * q.a + p.b * q.b < 0:
-                    t = (-q.a / p.a) if p.a != 0 else (-q.b / p.b)
-                    if t * p.c + q.c < 0:
-                        return True  # antiparallel with a gap
-                continue
-            x = (p.c * q.b - p.b * q.c) / det
-            y = (p.a * q.c - p.c * q.a) / det
-            crossings.append(Point2(x, y))
-    for v in crossings:
-        if all(h.contains(v) for h in hs):
+    for p, q in itertools.combinations(lines, 2):
+        v = meet(p, q)
+        if v[2]:
+            crossings.append(v)
+            continue
+        (a1, b1, c1), (a2, b2, c2) = p, q
+        if a1 * a2 + b1 * b2 < 0:
+            # antiparallel: (a2, b2) = -t (a1, b1) with t = |a2|/|a1| (or
+            # |b2|/|b1|) > 0; a gap between them when t*c1 + c2 < 0
+            s1, s2 = (abs(a1), abs(a2)) if a1 else (abs(b1), abs(b2))
+            if s2 * c1 + s1 * c2 < 0:
+                return True
+    for x, y, w in crossings:
+        if all(a * x + b * y <= c * w for a, b, c in lines):
             return False
     return bool(crossings)
 
@@ -246,10 +248,9 @@ def _helly_violating_edges(poly: PolygonWithHoles) -> Optional[Tuple[int, int, i
     Exists whenever the kernel of a hole-free polygon is empty (Helly in the
     plane, finite family).
     """
-    hps = kernel_halfplanes(poly)
-    n = len(hps)
-    for combo in itertools.combinations(range(n), 3):
-        if halfplane_triple_empty(*(hps[i] for i in combo)):
+    lines = [hp.line() for hp in kernel_halfplanes(poly)]
+    for combo in itertools.combinations(range(len(lines)), 3):
+        if halfplane_triple_empty(*(lines[i] for i in combo)):
             return combo
     return None
 

@@ -16,7 +16,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from artgallery.rational import Q, rat, rationalize
-from artgallery.geom.primitives import Point2, Segment2, orient, pt, segments_intersect
+from artgallery.geom.primitives import (
+    Point2,
+    Segment2,
+    det3,
+    homogeneous,
+    orient,
+    pt,
+    segments_intersect,
+    segments_meet,
+)
 from artgallery.geom.polygon import PolygonWithHoles, Region, SimplePolygon, scale_region
 from artgallery.geom.convex import (
     ConvexPolygon,
@@ -143,13 +152,8 @@ def gen_claim22(n: int, class_sizes: Sequence[int], seed: int) -> SkeletalGaller
 
 
 def _has_collinear_triple(points: Sequence[Point2]) -> bool:
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if orient(points[i], points[j], points[k]) == 0:
-                    return True
-    return False
+    hs = [homogeneous(p) for p in points]
+    return any(det3(*triple) == 0 for triple in itertools.combinations(hs, 3))
 
 
 def _has_concurrent_triple(segments, pairs) -> bool:
@@ -629,14 +633,15 @@ def gen_simple(seed: int, n_vertices: int) -> SimplePolygon:
 
 
 def _first_crossing(ring) -> Optional[Tuple[int, int]]:
-    n = len(ring)
+    """First pair (i, j), i < j, of non-adjacent ring edges that meet."""
+    hs = [homogeneous(p) for p in ring]
+    n = len(hs)
     for i in range(n):
-        a, b = ring[i], ring[(i + 1) % n]
+        a, b = hs[i], hs[(i + 1) % n]
         for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+            if (j + 1) % n == i or (i + 1) % n == j:
                 continue
-            c, d = ring[j], ring[(j + 1) % n]
-            if segments_intersect(a, b, c, d) is not None:
+            if segments_meet(a, b, hs[j], hs[(j + 1) % n]):
                 return i, j
     return None
 

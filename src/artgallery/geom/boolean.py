@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from artgallery.geom.primitives import Point2, orient, segments_intersect
+from artgallery.geom.primitives import Point2, det3, homogeneous, orient, segments_intersect
 from artgallery.geom.polygon import (
     PolygonWithHoles,
     Region,
@@ -165,18 +165,22 @@ def _trace_rings(darts):
 
 
 def merge_collinear(ring):
-    """The ring without vertices that lie on the line through their neighbours."""
+    """The ring without vertices that lie on the line through their neighbours.
+
+    Vertices go one at a time, always the first collinear one left. Deleting
+    vertex i changes only the triples of its two neighbours, so the scan
+    resumes at the earlier one (at 0 when i was the first or the last).
+    """
     out = list(ring)
-    changed = True
-    while changed and len(out) > 2:
-        changed = False
+    hs = [homogeneous(p) for p in out]
+    i = 0
+    while len(out) > 2 and i < len(out):
         n = len(out)
-        for i in range(n):
-            a, b, c = out[(i - 1) % n], out[i], out[(i + 1) % n]
-            if orient(a, b, c) == 0:
-                del out[i]
-                changed = True
-                break
+        if det3(hs[i - 1], hs[i], hs[(i + 1) % n]) == 0:
+            del out[i], hs[i]
+            i = 0 if i == n - 1 else max(i - 1, 0)
+        else:
+            i += 1
     return out
 
 

@@ -224,34 +224,53 @@ def as_region(shape) -> Region:
 
 
 def locate_in_ring(p, ring) -> str:
-    """Exact location of p relative to the closed ring: "in", "on" or "out".
+    """Exact location of p relative to the closed ring: "in", "on" or "out"."""
+    return locate_in_ring_image(homogeneous(pt(p)), [homogeneous(v) for v in ring])
 
-    One orientation per edge decides both tests. p is on an edge when it is
+
+def locate_in_ring_image(hp, hs) -> str:
+    """`locate_in_ring` on integer homogeneous images: the point hp against
+    the ring hs.
+
+    An edge with both ends strictly above p, or both strictly below, can
+    neither hold p nor cross p's height, so it is skipped. One orientation
+    per remaining edge decides both tests. p is on an edge when it is
     collinear with it and between its ends. An edge that straddles p's height
     (half-open) crosses the rightward ray from p when p lies to its left going
     up, or to its right going down.
     """
-    hp = homogeneous(pt(p))
     _, py, pw = hp
-    hs = [homogeneous(v) for v in ring]
+    height = [v[1] * pw - py * v[2] for v in hs]  # sign: v above, level, below
     crossings = 0
     for i in range(len(hs)):
+        ha, hb = height[i - 1], height[i]
+        if (ha > 0 and hb > 0) or (ha < 0 and hb < 0):
+            continue
         a, b = hs[i - 1], hs[i]
         o = det3(a, b, hp)
         if o == 0 and between(hp, a, b):
             return "on"
-        up = b[1] * pw > py * b[2]
-        if (a[1] * pw > py * a[2]) != up and (o > 0 if up else o < 0):
+        up = hb > 0
+        if (ha > 0) != up and (o > 0 if up else o < 0):
             crossings += 1
     return "in" if crossings % 2 == 1 else "out"
 
 
 def locate_in_polygon(p, poly: PolygonWithHoles) -> str:
-    where = locate_in_ring(p, poly.outer.vertices)
+    images = ([homogeneous(v) for v in ring] for ring in poly.rings())
+    return locate_in_polygon_image(homogeneous(pt(p)), images)
+
+
+def locate_in_polygon_image(hp, rings) -> str:
+    """`locate_in_polygon` on integer homogeneous images: the point hp
+    against the rings (outer first, then the holes), read in order and only
+    as far as the answer needs."""
+    rings = iter(rings)
+    where = locate_in_ring_image(hp, next(rings))
     if where != "in":
         return where
-    for h in poly.holes:
-        inside_hole = locate_in_ring(p, h.vertices)
+    for h in rings:
+        inside_hole = locate_in_ring_image(hp, h)
         if inside_hole == "on":
             return "on"
         if inside_hole == "in":

@@ -9,11 +9,14 @@ coordinates: a point (x, y) is read as (X, Y, W) through `numerator` and
 `fractions.Fraction` and `gmpy2.mpq` alike. An orientation is then the sign
 of one integer determinant, with no gcd and no rational temporaries, and a
 crossing point is one integer line meet, normalised once per coordinate.
+Callers that test many predicates on the same points (convex clipping,
+point location, the visibility sweep, the 2-opt untangling of random
+polygons) read each point's image once and work on the images.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from artgallery.rational import Q, rat
 
@@ -72,6 +75,20 @@ def between(p, a, b) -> bool:
     ax, ay, aw = a
     bx, by, bw = b
     return (px * aw - ax * pw) * (px * bw - bx * pw) + (py * aw - ay * pw) * (py * bw - by * pw) <= 0
+
+
+def segments_meet(a, b, c, d) -> bool:
+    """For homogeneous points: the closed segments [a, b] and [c, d] share a
+    point. Decided by orientation signs alone; no point is built."""
+    d1, d2 = det3(a, b, c), det3(a, b, d)
+    if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
+        return False
+    d3, d4 = det3(c, d, a), det3(c, d, b)
+    if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
+        return False
+    if d1 == 0 and d2 == 0:  # on one line: an end of one lies on the other
+        return between(c, a, b) or between(d, a, b) or between(a, c, d) or between(b, c, d)
+    return True
 
 
 def join(p, q):
@@ -155,17 +172,6 @@ def segments_intersect(a, b, c, d):
     # and b on opposite sides of line cd. Parallel lines would give d1 == d2,
     # so the lines cross, and their one meet lies on both segments.
     return ("point", from_homogeneous(meet(join(ha, hb), join(hc, hd))))
-
-
-def line_intersection(p1, p2, p3, p4) -> Optional[Point2]:
-    """Intersection point of lines p1p2 and p3p4, or None if parallel."""
-    d1x, d1y = p2[0] - p1[0], p2[1] - p1[1]
-    d2x, d2y = p4[0] - p3[0], p4[1] - p3[1]
-    denom = d1x * d2y - d1y * d2x
-    if denom == 0:
-        return None
-    t = ((p3[0] - p1[0]) * d2y - (p3[1] - p1[1]) * d2x) / denom
-    return Point2(p1[0] + t * d1x, p1[1] + t * d1y)
 
 
 def direction_class(v) -> int:

@@ -16,6 +16,14 @@ is represented as separate components sharing a vertex. The one-dimensional
 pieces seen only along a ray through two collinear reflex corners are not
 represented; `common_visibility`, which intersects these regions, never
 represented them either.
+
+The angular sweep runs on integer homogeneous images: each call reads every
+gallery vertex once as (X, Y, W) (see :mod:`artgallery.geom.primitives`;
+each vertex keeps its own W, no common denominator is taken), with its
+offset from the viewpoint and each edge's integer line. Whether a sector ray
+touches an edge is then a matter of integer signs, and only a touched edge
+builds a rational ray parameter; sample points are located against the same
+images, and a region vertex is one integer line meet, normalised once.
 """
 
 from __future__ import annotations
@@ -23,12 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
-from artgallery.rational import rat
+from artgallery.rational import Q, rat
 from artgallery.gallery import PinchedGallery, SkeletalGallery, as_polygon
 from artgallery.geom.primitives import (
     Point2,
     Segment2,
-    line_intersection,
+    from_homogeneous,
+    homogeneous,
+    join,
+    meet,
     orient,
     pt,
     same_direction,
@@ -40,6 +51,7 @@ from artgallery.geom.polygon import (
     Region,
     SimplePolygon,
     locate_in_polygon,
+    locate_in_polygon_image,
     ring_signed_area,
 )
 from artgallery.geom.boolean import merge_collinear, region_boolean
@@ -106,57 +118,106 @@ def sees(gallery, x, y) -> bool:
 # Visibility polygon (angular sweep)
 
 
-def _ray_events(x, u, edges):
-    """Sorted (t, edge) boundary touches of the ray x + t*u, t > 0 (exact)."""
-    evs = {}
+class _View(NamedTuple):
+    """A polygon as seen from x, on integer homogeneous images.
+
+    `rings` are the ring images, outer first, and `images` the same vertex
+    images in one list. `verts` holds each vertex v as (Wv, rx, ry): its
+    image's W and its offset from x scaled by Wv*W0 > 0, for x's image
+    `hx` = (X0, Y0, W0). `edges` holds each boundary edge, in the order of
+    `boundary_edges`, as (i, j, o, line): its vertex indices, the cross
+    product of their offsets (the sign of the turn x -> v_i -> v_j) and its
+    integer line.
+    """
+
+    hx: tuple
+    rings: list
+    images: list
+    verts: list
+    edges: list
+
+
+def _view(poly, x) -> _View:
+    rings = [[homogeneous(v) for v in ring] for ring in poly.rings()]
+    x0, y0, w0 = hx = homogeneous(x)
+    images = [p for ring in rings for p in ring]
+    verts = [(w, vx * w0 - x0 * w, vy * w0 - y0 * w) for vx, vy, w in images]
+    edges = []
+    start = 0
+    for ring in rings:
+        end = start + len(ring)
+        for i in range(start, end):
+            j = i + 1 if i + 1 < end else start
+            (_, ax, ay), (_, bx, by) = verts[i], verts[j]
+            edges.append((i, j, ax * by - ay * bx, join(images[i], images[j])))
+        start = end
+    return _View(hx, rings, images, verts, edges)
+
+
+def _ray_events(view, u):
+    """Sorted (tau, edge index) boundary touches of the ray from x along the
+    integer vector u, tau > 0: the touch is the homogeneous point
+    (X0 + tau*ux, Y0 + tau*uy, W0). Of edges touched at the same tau, the
+    first is kept.
+
+    Whether the ray touches an edge is decided from integer signs alone;
+    only a touched edge builds a rational tau.
+    """
+    verts = view.verts
     ux, uy = u
-    for a, b in edges:
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        den = ux * ey - uy * ex
-        wx, wy = a[0] - x[0], a[1] - x[1]
-        if den != 0:
-            t = (wx * ey - wy * ex) / den
-            s = (wx * uy - wy * ux) / den
-            if t > 0 and 0 <= s <= 1:
-                evs.setdefault(t, (a, b))
-        else:
-            if wx * uy - wy * ux != 0:
-                continue
+    side = [ux * ry - uy * rx for _, rx, ry in verts]  # u x (v - x), scaled
+    evs = []
+    for k, (i, j, o, _) in enumerate(view.edges):
+        ca, cb = side[i], side[j]
+        if (ca > 0 and cb > 0) or (ca < 0 and cb < 0):
+            continue  # both ends strictly on one side of the ray's line
+        d = cb * verts[i][0] - ca * verts[j][0]  # u x (b - a), scaled
+        if d:
+            if o and (o > 0) == (d > 0):
+                evs.append((Q(o, d), k))
+        else:  # the edge lies on the ray's line
             uu = ux * ux + uy * uy
-            for p in (a, b):
-                t = ((p[0] - x[0]) * ux + (p[1] - x[1]) * uy) / uu
-                if t > 0:
-                    evs.setdefault(t, (a, b))
-    return sorted(evs.items())
+            for w, rx, ry in (verts[i], verts[j]):
+                dot = rx * ux + ry * uy
+                if dot > 0:
+                    evs.append((Q(dot, w * uu), k))
+    evs.sort()
+    return [ev for n, ev in enumerate(evs) if n == 0 or evs[n - 1][0] != ev[0]]
 
 
-def _visible_radius(poly, edges, x, u):
-    """Largest t with [x, x + t*u] inside the closed polygon, with the edge
-    whose touch ends visibility (None when t is 0 or the walk is degenerate)."""
-    evs = _ray_events(x, u, edges)
-    prev = rat(0)
-    prev_edge = None
-    for t, e in evs:
-        tm = (prev + t) / 2
-        q = Point2(x[0] + tm * u[0], x[1] + tm * u[1])
-        if locate_in_polygon(q, poly) == "out":
-            return prev, prev_edge
-        prev, prev_edge = t, e
-    q = Point2(x[0] + (prev + 1) * u[0], x[1] + (prev + 1) * u[1])
-    if locate_in_polygon(q, poly) == "out":
-        return prev, prev_edge
+def _blocking_edge(view, u):
+    """Index of the edge whose touch ends what the ray from x along u sees
+    inside the closed polygon, or None when the ray leaves it at once."""
+    x0, y0, w0 = view.hx
+    ux, uy = u
+
+    def outside(n, m):  # the point at tau = n/m, m > 0
+        return locate_in_polygon_image((x0 * m + n * ux, y0 * m + n * uy, w0 * m), view.rings) == "out"
+
+    pn, pd, prev_edge = 0, 1, None
+    for t, e in _ray_events(view, u):
+        tn, td = t.numerator, t.denominator
+        if outside(pn * td + tn * pd, 2 * pd * td):  # the midpoint
+            return prev_edge
+        pn, pd, prev_edge = tn, td, e
+    if outside(pn + pd, pd):
+        return prev_edge
     raise RuntimeError("ray escapes a bounded gallery; invalid polygon")
 
 
-def _ray_line_point(x, u, a, b) -> Point2:
-    """Point where ray x + t*u meets line(a, b); endpoint fallback if parallel."""
-    hit = line_intersection(x, Point2(x[0] + u[0], x[1] + u[1]), a, b)
-    if hit is not None:
-        return hit
-    for p in (a, b):
-        w = (p[0] - x[0], p[1] - x[1])
-        if (w[0] or w[1]) and same_direction(w, u):
-            return p
+def _ray_line_point(view, u, e) -> Point2:
+    """Point where the ray from x along u meets the line of edge e; the
+    edge's end on the ray if they are parallel."""
+    x0, y0, w0 = view.hx
+    i, j, _, line = view.edges[e]
+    ray = (-u[1] * w0, u[0] * w0, y0 * u[0] - x0 * u[1])  # A*x + B*y = C through x along u
+    p = meet(ray, line)
+    if p[2]:
+        return from_homogeneous(p)
+    for v in (i, j):
+        _, rx, ry = view.verts[v]
+        if (rx or ry) and same_direction((rx, ry), u):
+            return from_homogeneous(view.images[v])
     raise RuntimeError("blocking edge collinear with sector ray")
 
 
@@ -185,36 +246,32 @@ def _split_pinched(ring: List[Point2]) -> List[List[Point2]]:
 
 
 def visibility_polygon(gallery, x) -> Region:
-    """Exact visibility region of viewpoint x (angular sweep over rationals).
+    """Exact visibility region of viewpoint x (angular sweep).
 
     The result is the closed two-dimensional visibility set, star-shaped
     about x; see the module docstring for pinches and what is left out.
     """
     poly = as_polygon(gallery)
     x = pt(x)
-    if locate_in_polygon(x, poly) == "out":
+    view = _view(poly, x)
+    if locate_in_polygon_image(view.hx, view.rings) == "out":
         raise NotInGallery(f"viewpoint {x} not in gallery")
-    edges = list(poly.boundary_edges())
 
     dirs = [(1, 0), (0, 1), (-1, 0), (0, -1)]  # keep every sector under pi/2
-    for ring in poly.rings():
-        for v in ring:
-            if v != x:
-                dirs.append((v[0] - x[0], v[1] - x[1]))
-    dirs = sort_directions([(rat(a), rat(b)) for a, b in dirs])
+    dirs += [(rx, ry) for _, rx, ry in view.verts if rx or ry]
+    dirs = sort_directions(dirs)
     m = len(dirs)
 
     # Per sector: the visible boundary piece, clipped to the sector rays (x
     # itself for a sector seen to depth 0), appended to the ring.
     ring_pts: List[Point2] = []
     for i in range(m):
-        ua = dirs[i]
-        ub = dirs[(i + 1) % m]
-        t, edge = _visible_radius(poly, edges, x, (ua[0] + ub[0], ua[1] + ub[1]))
-        if t == 0 or edge is None:
+        k = (i + 1) % m
+        e = _blocking_edge(view, (dirs[i][0] + dirs[k][0], dirs[i][1] + dirs[k][1]))
+        if e is None:
             piece = (x,)
         else:
-            piece = (_ray_line_point(x, ua, *edge), _ray_line_point(x, ub, *edge))
+            piece = (_ray_line_point(view, dirs[i], e), _ray_line_point(view, dirs[k], e))
         for p in piece:
             if not ring_pts or ring_pts[-1] != p:
                 ring_pts.append(p)

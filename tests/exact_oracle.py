@@ -5,12 +5,18 @@ Every quantity here is a rational (`Fraction` or `mpq`) built by ordinary
 arithmetic, as before signs and clip vertices moved to integers:
 - `cross` is the signed area, and `convex_contains` and `convex_hull` test
   its sign;
-- `segments_intersect` finds its crossing point as c + t(d - c);
+- `segments_intersect` finds its crossing point as c + t(d - c), and
+  `line_intersection` the meet of two lines as p1 + t(p2 - p1);
 - `clip_convex` is Sutherland-Hodgman on rational vertices;
-- `locate_in_ring` divides to find each crossing's x.
+- `locate_in_ring` divides to find each crossing's x;
+- `halfplane_triple_empty` divides to find each pairwise crossing of three
+  `HalfPlane`s and tests it with `HalfPlane.contains`;
+- `merge_collinear` tests `cross` and rescans the ring from its start after
+  every deletion.
 
-They share nothing with the library but `Point2`, `pt` and
-`ConvexPolygon`'s canonical form, so a mismatch points at the integer code.
+They share nothing with the library but `Point2`, `pt`, `ConvexPolygon`'s
+canonical form and `HalfPlane.contains` (a rational comparison), so a
+mismatch points at the integer code.
 """
 
 from artgallery.geom.convex import ConvexPolygon
@@ -82,6 +88,17 @@ def segments_intersect(a, b, c, d):
     if on_segment(p, a, b) and on_segment(p, c, d):
         return ("point", p)
     return None
+
+
+def line_intersection(p1, p2, p3, p4):
+    """Intersection point of lines p1p2 and p3p4, or None if parallel."""
+    d1x, d1y = p2[0] - p1[0], p2[1] - p1[1]
+    d2x, d2y = p4[0] - p3[0], p4[1] - p3[1]
+    denom = d1x * d2y - d1y * d2x
+    if denom == 0:
+        return None
+    t = ((p3[0] - p1[0]) * d2y - (p3[1] - p1[1]) * d2x) / denom
+    return Point2(p1[0] + t * d1x, p1[1] + t * d1y)
 
 
 def clip_ring(ring, hp):
@@ -167,3 +184,40 @@ def convex_hull(points) -> ConvexPolygon:
     if len(ring) < 3:
         return ConvexPolygon((ps[0], ps[-1]))
     return ConvexPolygon(ring)
+
+
+def halfplane_triple_empty(h1, h2, h3) -> bool:
+    hs = (h1, h2, h3)
+    crossings = []
+    for i in range(3):
+        for j in range(i + 1, 3):
+            p, q = hs[i], hs[j]
+            det = p.a * q.b - p.b * q.a
+            if det == 0:
+                if p.a * q.a + p.b * q.b < 0:
+                    t = (-q.a / p.a) if p.a != 0 else (-q.b / p.b)
+                    if t * p.c + q.c < 0:
+                        return True  # antiparallel with a gap
+                continue
+            x = (p.c * q.b - p.b * q.c) / det
+            y = (p.a * q.c - p.c * q.a) / det
+            crossings.append(Point2(x, y))
+    for v in crossings:
+        if all(h.contains(v) for h in hs):
+            return False
+    return bool(crossings)
+
+
+def merge_collinear(ring):
+    out = list(ring)
+    changed = True
+    while changed and len(out) > 2:
+        changed = False
+        n = len(out)
+        for i in range(n):
+            a, b, c = out[(i - 1) % n], out[i], out[(i + 1) % n]
+            if cross(a, b, c) == 0:
+                del out[i]
+                changed = True
+                break
+    return out

@@ -1,21 +1,37 @@
-"""Test oracles for kernels: pointwise kernel membership, a grid scan, and
-the outer bound from convex hulls of visibility regions.
+"""Test oracles for kernels and visibility polygons: pointwise kernel
+membership, a grid scan, the outer bound from convex hulls of visibility
+regions, and the rational angular sweep.
 
 `kernel_simple` intersects edge half-planes; these oracles reach the kernel
 another way (triangle containment, visibility hulls), so agreement between
 them checks the half-plane route.
+
+`rational_visibility_polygon` is the sweep `visibility.visibility_polygon`
+ran before it read the gallery as integer homogeneous images: every ray
+parameter is a `Fraction` (or `mpq`) division, points are located by the
+rational `exact_oracle.locate_in_ring`, and collinear vertices are merged by
+`exact_oracle.merge_collinear`, so a mismatch points at the integer code.
 """
 
 from typing import List, Optional
 
+import exact_oracle
+
 from artgallery.gallery import as_polygon
 from artgallery.geom.boolean import region_boolean
 from artgallery.geom.convex import ConvexPolygon, convex_hull, convex_intersect
-from artgallery.geom.polygon import Region, locate_in_polygon, region_bbox
-from artgallery.geom.primitives import Point2, orient, pt
+from artgallery.geom.polygon import (
+    PolygonWithHoles,
+    Region,
+    SimplePolygon,
+    locate_in_polygon,
+    region_bbox,
+    ring_signed_area,
+)
+from artgallery.geom.primitives import Point2, orient, pt, same_direction, sort_directions
 from artgallery.kernel import kernel_halfplanes
 from artgallery.rational import rat
-from artgallery.visibility import segment_in_polygon, visibility_polygon
+from artgallery.visibility import NotInGallery, _split_pinched, segment_in_polygon, visibility_polygon
 
 
 def vertex_set(region) -> tuple:
@@ -104,3 +120,115 @@ def kernel_brute(gallery, resolution: int = 20) -> List[Point2]:
             if point_in_kernel(poly, p):
                 out.append(p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Visibility polygon over rationals
+
+
+def _locate(p, poly) -> str:
+    where = exact_oracle.locate_in_ring(p, poly.outer.vertices)
+    if where != "in":
+        return where
+    for h in poly.holes:
+        inside_hole = exact_oracle.locate_in_ring(p, h.vertices)
+        if inside_hole == "on":
+            return "on"
+        if inside_hole == "in":
+            return "out"
+    return "in"
+
+
+def _ray_events(x, u, edges):
+    """Sorted (t, edge) boundary touches of the ray x + t*u, t > 0 (exact)."""
+    evs = {}
+    ux, uy = u
+    for a, b in edges:
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        den = ux * ey - uy * ex
+        wx, wy = a[0] - x[0], a[1] - x[1]
+        if den != 0:
+            t = (wx * ey - wy * ex) / den
+            s = (wx * uy - wy * ux) / den
+            if t > 0 and 0 <= s <= 1:
+                evs.setdefault(t, (a, b))
+        else:
+            if wx * uy - wy * ux != 0:
+                continue
+            uu = ux * ux + uy * uy
+            for p in (a, b):
+                t = ((p[0] - x[0]) * ux + (p[1] - x[1]) * uy) / uu
+                if t > 0:
+                    evs.setdefault(t, (a, b))
+    return sorted(evs.items())
+
+
+def _visible_radius(poly, edges, x, u):
+    """Largest t with [x, x + t*u] inside the closed polygon, with the edge
+    whose touch ends visibility (None when t is 0 or the walk is degenerate)."""
+    evs = _ray_events(x, u, edges)
+    prev = rat(0)
+    prev_edge = None
+    for t, e in evs:
+        tm = (prev + t) / 2
+        q = Point2(x[0] + tm * u[0], x[1] + tm * u[1])
+        if _locate(q, poly) == "out":
+            return prev, prev_edge
+        prev, prev_edge = t, e
+    q = Point2(x[0] + (prev + 1) * u[0], x[1] + (prev + 1) * u[1])
+    if _locate(q, poly) == "out":
+        return prev, prev_edge
+    raise RuntimeError("ray escapes a bounded gallery; invalid polygon")
+
+
+def _ray_line_point(x, u, a, b) -> Point2:
+    """Point where ray x + t*u meets line(a, b); endpoint fallback if parallel."""
+    hit = exact_oracle.line_intersection(x, Point2(x[0] + u[0], x[1] + u[1]), a, b)
+    if hit is not None:
+        return hit
+    for p in (a, b):
+        w = (p[0] - x[0], p[1] - x[1])
+        if (w[0] or w[1]) and same_direction(w, u):
+            return p
+    raise RuntimeError("blocking edge collinear with sector ray")
+
+
+def rational_visibility_polygon(gallery, x) -> Region:
+    """Exact visibility region of viewpoint x, by the angular sweep over
+    rationals."""
+    poly = as_polygon(gallery)
+    x = pt(x)
+    if _locate(x, poly) == "out":
+        raise NotInGallery(f"viewpoint {x} not in gallery")
+    edges = list(poly.boundary_edges())
+
+    dirs = [(1, 0), (0, 1), (-1, 0), (0, -1)]  # keep every sector under pi/2
+    for ring in poly.rings():
+        for v in ring:
+            if v != x:
+                dirs.append((v[0] - x[0], v[1] - x[1]))
+    dirs = sort_directions([(rat(a), rat(b)) for a, b in dirs])
+    m = len(dirs)
+
+    ring_pts: List[Point2] = []
+    for i in range(m):
+        ua = dirs[i]
+        ub = dirs[(i + 1) % m]
+        t, edge = _visible_radius(poly, edges, x, (ua[0] + ub[0], ua[1] + ub[1]))
+        if t == 0 or edge is None:
+            piece = (x,)
+        else:
+            piece = (_ray_line_point(x, ua, *edge), _ray_line_point(x, ub, *edge))
+        for p in piece:
+            if not ring_pts or ring_pts[-1] != p:
+                ring_pts.append(p)
+    while len(ring_pts) > 1 and ring_pts[0] == ring_pts[-1]:
+        ring_pts.pop()
+
+    comps = []
+    if len(ring_pts) >= 3:
+        for loop in _split_pinched(ring_pts):
+            loop = exact_oracle.merge_collinear(loop)
+            if len(loop) >= 3 and ring_signed_area(loop) != 0:
+                comps.append(PolygonWithHoles(SimplePolygon(tuple(loop))))
+    return Region(tuple(comps))

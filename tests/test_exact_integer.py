@@ -13,10 +13,20 @@ from fractions import Fraction
 
 import exact_oracle as oracle
 
-from artgallery.galleries import _apex, cone_halfplanes, disc_polygon, gen_simple, gen_star
+from artgallery.checkers import _helly_violating_edges, halfplane_triple_empty
+from artgallery.galleries import _apex, cone_halfplanes, disc_polygon, gen_empty_kernel, gen_simple, gen_star
+from artgallery.geom.boolean import merge_collinear
 from artgallery.geom.convex import ConvexPolygon, HalfPlane, clip_convex, convex_hull
 from artgallery.geom.polygon import locate_in_ring
-from artgallery.geom.primitives import Point2, on_segment, orient, pt, segments_intersect
+from artgallery.geom.primitives import (
+    Point2,
+    homogeneous,
+    on_segment,
+    orient,
+    pt,
+    segments_intersect,
+    segments_meet,
+)
 from artgallery.kernel import kernel_halfplanes
 from artgallery.rational import rat
 
@@ -108,6 +118,32 @@ def test_segments_intersect_matches_oracle_on_fractions():
             e = _along(a, b, _small(rng))  # c on line ab: touching and collinear cases
             for seg in ((c, d), (e, d), (e, _along(a, b, _small(rng)))):
                 assert segments_intersect(a, b, *seg) == oracle.segments_intersect(a, b, *seg)
+
+
+def _meets(a, b, c, d):
+    return segments_meet(*(homogeneous(p) for p in (a, b, c, d)))
+
+
+def test_segments_meet_matches_oracle_on_a_grid():
+    rng = random.Random(7)
+    grid = [pt((x, y)) for x in range(-3, 4) for y in range(-3, 4)]
+    seen = set()
+    for _ in range(4000):
+        a, b, c, d = (rng.choice(grid) for _ in range(4))
+        got = _meets(a, b, c, d)
+        assert got == (oracle.segments_intersect(a, b, c, d) is not None), (a, b, c, d)
+        seen.add(got)
+    assert seen == {False, True}
+
+
+def test_segments_meet_matches_oracle_on_fractions():
+    rng = random.Random(8)
+    for draw, count in ((_small, 1000), (lambda r: _huge(r, 1000), 30)):
+        for _ in range(count):
+            a, b, c, d = (_point(draw, rng) for _ in range(4))
+            e = _along(a, b, _small(rng))
+            for seg in ((c, d), (e, d), (e, _along(a, b, _small(rng)))):
+                assert _meets(a, b, *seg) == (oracle.segments_intersect(a, b, *seg) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -266,3 +302,72 @@ def test_locate_in_ring_matches_oracle():
             assert got == oracle.locate_in_ring(p, ring), (p, ring)
             seen.add(got)
     assert seen == {"in", "on", "out"}
+
+
+# ---------------------------------------------------------------------------
+# merge_collinear
+
+
+def test_merge_collinear_matches_oracle():
+    """Walks on a small grid: runs of collinear vertices, spikes that double
+    back, repeated points and rings that collapse to a segment."""
+    rng = random.Random(9)
+    steps = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (0, 0)]
+    for _ in range(600):
+        p = (0, 0)
+        ring = []
+        for _ in range(rng.randrange(3, 14)):
+            dx, dy = rng.choice(steps)
+            p = (p[0] + dx, p[1] + dy)
+            ring.append(pt(p))
+        assert merge_collinear(ring) == oracle.merge_collinear(ring), ring
+
+
+# ---------------------------------------------------------------------------
+# Helly triples
+
+
+def _parallel_cases():
+    """The cases of `test_halfplane_triple_empty_cases`, then parallel and
+    antiparallel pairs with a gap, a shared line and an overlap, and
+    fractional coefficients."""
+    def h(a, b, c):
+        return HalfPlane(rat(a), rat(b), rat(c))
+
+    yield h(1, 0, 0), h(-1, 0, -1), h(0, 1, 5)
+    yield h(-1, 0, 0), h(0, -1, 0), h(1, 1, 5)
+    yield h(-1, 0, -1), h(0, -1, -1), h(1, 1, 1)
+    for c in (-2, -1, 0, 1, 2):
+        for third in (h(0, 1, 5), h(0, -1, 5), h(1, 1, -9), h(2, 0, 1)):
+            yield h(1, 0, 0), h(-1, 0, c), third
+            yield h(0, "1/3", "1/7"), h(0, "-2/5", rat(c, 3)), third
+            yield h(1, 0, 0), h(2, 0, c), third
+            yield h(1, 1, 0), h(-2, -2, c), h("1/2", "-1/2", c)
+
+
+def test_halfplane_triple_empty_matches_oracle():
+    triples = list(_parallel_cases())
+    for seed in range(4):
+        hps = kernel_halfplanes(gen_simple(seed, 12))
+        triples += itertools.combinations(hps, 3)
+    seen = set()
+    for hs in triples:
+        got = halfplane_triple_empty(*(hp.line() for hp in hs))
+        assert got == oracle.halfplane_triple_empty(*hs), hs
+        seen.add(got)
+    assert seen == {False, True}
+
+
+def test_helly_violating_edges_match_oracle():
+    polys = [gen_simple(seed, 12) for seed in range(4)] + [gen_empty_kernel(seed, 12) for seed in range(3)]
+    found = 0
+    for poly in polys:
+        hps = kernel_halfplanes(poly)
+        want = next(
+            (combo for combo in itertools.combinations(range(len(hps)), 3)
+             if oracle.halfplane_triple_empty(*(hps[i] for i in combo))),
+            None,
+        )
+        assert _helly_violating_edges(poly) == want
+        found += want is not None
+    assert found >= 3

@@ -1,5 +1,7 @@
 """Gallery generators: figure regressions, random families, spiked construction."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -105,6 +107,23 @@ def test_gen_empty_kernel():
         poly = gen_empty_kernel(seed=seed)
         g = Gallery(polygon=PolygonWithHoles(poly.vertices, []), classes=(), name="ek")
         assert kernel_simple(g).is_empty()
+
+
+def _vertex_digest(polys):
+    doc = [[[str(v.x), str(v.y)] for v in p.vertices] for p in polys]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def test_random_polygon_pins():
+    """The seeded 2-opt polygons, vertex for vertex: the move order of the
+    untangling fixes them, so a change to the crossing or collinearity tests
+    that reorders moves shows here."""
+    assert _vertex_digest(gen_simple(seed, 24) for seed in range(10)) == (
+        "a7e1eebba401f2fe78075d4fc42f6e1b78c22a02154c752e77ff9491654c9501"
+    )
+    assert _vertex_digest(gen_empty_kernel(seed, 24) for seed in range(6)) == (
+        "866c71d3abd9ebd67744edffe446a8a3043c5d3b8c908f4fa7854dd1aad82b0d"
+    )
 
 
 def test_disc_polygon_modes():

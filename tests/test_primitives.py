@@ -2,12 +2,11 @@
 
 import random
 
-from exact_oracle import cross
+from exact_oracle import cross, line_intersection
 
 from artgallery.geom.primitives import (
     angle_less,
     direction_class,
-    line_intersection,
     on_segment,
     orient,
     pt,
