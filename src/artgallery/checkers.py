@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Tuple
 
 from artgallery.rational import rat, rationalize
-from artgallery.gallery import Gallery
+from artgallery.gallery import Gallery, ViewCache
 from artgallery.geom.primitives import Point2, meet, orient, pt
 from artgallery.geom.polygon import PolygonWithHoles, Region, region_bbox
 from artgallery.geom.convex import ConvexPolygon
@@ -307,7 +307,7 @@ def check_classic(gallery, candidates: Optional[CandidateSet] = None,
             )
 
     # general path: enumerate candidate tuples up to the cap
-    cache: dict = {}
+    cache = ViewCache()
     hyp, violating, _, cov = _scan(
         itertools.combinations(candidates.points, k), _ncomb(len(candidates), k), cfg.cap,
         lambda tup: _common_status(gallery, tup, cache),
@@ -327,7 +327,7 @@ def _ncomb(n: int, k: int) -> int:
 
 def _common_status(gallery, tup, cache):
     """("fails", None) when the tuple sees no common point, else ("holds", None)."""
-    return ("fails" if gallery.common_visibility(tup, cache).is_empty() else "holds"), None
+    return ("fails" if gallery.common_visibility_is_empty(tup, cache) else "holds"), None
 
 
 def _scan(tuples, total, cap, judge):
@@ -426,7 +426,7 @@ def check_colorful_general(gallery, classes, cfg: Optional[CheckConfig] = None) 
 
 
 def _colorful_core(gallery, classes, cfg, name, theorem, preconditions) -> TheoremReport:
-    cache: dict = {}
+    cache = ViewCache()
     hyp, violating, _, cov = _scan(
         itertools.product(*classes), math.prod(len(cls) for cls in classes), cfg.cap,
         lambda tup: _common_status(gallery, tuple(dict.fromkeys(tup)), cache),
@@ -632,7 +632,7 @@ def check_quantitative(gallery, candidates: Optional[CandidateSet] = None,
             qualifiers=tuple(dict.fromkeys(kernel_quals)), config=cfg,
         )
 
-    cache: dict = {}
+    cache = ViewCache()
 
     def judge(tup):
         status, _, q = _common_witness(gallery, tup, cfg, cache)

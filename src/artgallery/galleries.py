@@ -624,9 +624,9 @@ def gen_simple(seed: int, n_vertices: int) -> SimplePolygon:
                 poly = SimplePolygon(tuple(ring))
                 if poly.signed_area() == 0:
                     break
-                poly = poly.ccw()
-                poly.validate()
-                return poly
+                # distinct points, no collinear triple, no meeting non-adjacent
+                # edges and nonzero area: the ring is simple, no rescan needed
+                return poly.ccw()
             i, j = crossing
             ring[i + 1 : j + 1] = reversed(ring[i + 1 : j + 1])
         attempt += 1

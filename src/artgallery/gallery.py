@@ -15,7 +15,12 @@ hold:
   * ``common_visibility(points, cache=None)``: the exact common visibility
     of finitely many viewpoints; every result answers ``is_empty()``.
     ``cache``, for every kind, maps each viewpoint to its visibility set, so
-    that a caller judging many tuples computes each viewpoint's once;
+    that a caller judging many tuples computes each viewpoint's once; a
+    :class:`ViewCache` also keeps the last tuple's prefix intersections,
+    which a polygonal gallery reuses for the next tuple;
+  * ``common_visibility_is_empty(points, cache=None)``: whether that common
+    visibility is empty, which a polygonal gallery decides without building
+    the last intersection;
   * ``kernel_status()``: ``(verdict, witness, certified, qualifier)`` for
     "the kernel is nonempty", decided exactly; a skeletal gallery raises
     :class:`NotAreal`;
@@ -31,8 +36,13 @@ from functools import cached_property
 from typing import Mapping, Tuple
 
 from artgallery.rational import Q
-from artgallery.geom.primitives import Point2, Segment2, on_segment, pt
-from artgallery.geom.polygon import PolygonWithHoles, SimplePolygon, locate_in_polygon
+from artgallery.geom.primitives import Point2, Segment2, homogeneous, on_segment, pt
+from artgallery.geom.polygon import (
+    PolygonWithHoles,
+    SimplePolygon,
+    locate_in_polygon,
+    locate_in_polygon_image,
+)
 
 
 class NotAreal(TypeError, ValueError):
@@ -63,6 +73,22 @@ def _bbox(points):
     return min(xs), min(ys), max(xs), max(ys)
 
 
+class ViewCache(dict):
+    """Viewpoint -> visibility set, for a caller that judges many tuples.
+
+    ``prefix`` holds the intersection chain of the last polygonal tuple but
+    its last viewpoint: ``(viewpoint, region)`` pairs, region i being the
+    common visibility of viewpoints 0..i. Consecutive tuples of
+    ``itertools.combinations`` and ``itertools.product`` share leading
+    viewpoints, so the next tuple recomputes only past the shared part, and
+    the chain never holds more than k - 1 regions for tuples of size k.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.prefix = []
+
+
 class GalleryKind:
     """What the three gallery kinds share; see the module docstring."""
 
@@ -74,6 +100,9 @@ class GalleryKind:
             if cname == name:
                 return points
         raise KeyError(name)
+
+    def common_visibility_is_empty(self, points, cache=None) -> bool:
+        return self.common_visibility(points, cache).is_empty()
 
 
 @dataclass(frozen=True)
@@ -113,12 +142,13 @@ class Gallery(GalleryKind):
 
     def random_points(self, rng, count: int):
         out = []
+        rings = [[homogeneous(v) for v in ring] for ring in self.polygon.rings()]
         box = _bbox([v for ring in self.polygon.rings() for v in ring])
         budget = 500 * count
         while len(out) < count and budget > 0:
             budget -= 1
             p = _grid_point(rng, *box)
-            if locate_in_polygon(p, self.polygon) == "in":
+            if locate_in_polygon_image(homogeneous(p), rings) == "in":
                 out.append(p)
         return out
 
@@ -126,6 +156,11 @@ class Gallery(GalleryKind):
         from artgallery import visibility
 
         return visibility.common_visibility(self, points, cache)
+
+    def common_visibility_is_empty(self, points, cache=None) -> bool:
+        from artgallery import visibility
+
+        return visibility.common_visibility_is_empty(self, points, cache)
 
     def kernel_status(self):
         # A full-dimensional hole forces an empty kernel: from any viewpoint

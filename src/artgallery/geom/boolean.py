@@ -18,13 +18,25 @@ The implementation builds the overlay arrangement of both boundaries:
 
 The canonical result drops nothing but exact-zero-area slivers; components
 that touch only along boundaries stay separate components.
+
+`regions_overlap` asks only whether the intersection has positive area, and
+answers at the first witness without tracing a ring. Its cheap witness is a
+shared wall: an edge of each operand on one line, running the same way and
+overlapping in positive length. Both rings keep their interior on the left,
+so both operands contain a half-disc on the left of any inner point of the
+shared piece, and the intersection has area. Visibility regions of one
+gallery share wall edges, so this settles almost every overlapping pair.
+Otherwise the overlay above runs up to step 3 and stops at the first
+subsegment with a side inside both operands; there is one exactly when the
+intersection has area, since a region with area has a boundary subsegment.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Dict, List, Tuple
 
-from artgallery.geom.primitives import Point2, det3, homogeneous, orient, segments_intersect
+from artgallery.geom.primitives import Point2, det3, homogeneous, join, orient, segments_intersect
 from artgallery.geom.polygon import (
     PolygonWithHoles,
     Region,
@@ -239,6 +251,61 @@ def region_boolean(op: str, r1, r2) -> Region:
         elif right and not left:
             darts.append((b, a))
     return _region_from_darts(darts)
+
+
+def regions_overlap(r1, r2) -> bool:
+    """Exact: the intersection of r1 and r2 has positive area.
+
+    Equals ``not region_boolean("intersect", r1, r2).is_empty()`` and stops
+    at the first witness: a shared wall, else the first overlay subsegment
+    with a side inside both operands (see the module docstring).
+    """
+    r1, r2 = as_region(r1), as_region(r2)
+    if r1.is_empty() or r2.is_empty():
+        return False
+    return _shared_wall(r1, r2) or _overlay_overlaps(r1, r2)
+
+
+def _overlay_overlaps(r1, r2) -> bool:
+    """Some overlay subsegment has a side inside both operands."""
+    edges = [(a, b, k) for k, r in enumerate((r1, r2)) for a, b in r.boundary_edges()]
+    for (a, b), (c1, c2) in _split_all(edges).items():
+        in1 = _sides_in(r1, c1, a, b)
+        if not (in1[0] or in1[1]):
+            continue
+        in2 = _sides_in(r2, c2, a, b)
+        if (in1[0] and in2[0]) or (in1[1] and in2[1]):
+            return True
+    return False
+
+
+def _shared_wall(r1, r2) -> bool:
+    """Some edge of r1 and some edge of r2 run the same way along one line
+    and overlap in positive length."""
+    spans: Dict[Tuple[int, int, int], List[Tuple[object, object]]] = {}
+    for a, b in r1.boundary_edges():
+        line, lo, hi = _oriented_span(a, b)
+        spans.setdefault(line, []).append((lo, hi))
+    for a, b in r2.boundary_edges():
+        line, lo, hi = _oriented_span(a, b)
+        for lo1, hi1 in spans.get(line, ()):
+            if max(lo, lo1) < min(hi, hi1):
+                return True
+    return False
+
+
+def _oriented_span(a, b):
+    """The oriented line of edge a -> b as a primitive integer triple, and the
+    edge's parameter interval along the line's direction.
+
+    ``join`` gives (A, B, C) with (A, B) a positive multiple of the left
+    normal of b - a, so dividing by the positive gcd leaves one key per
+    oriented line; (B, -A) points from a to b, so lo < hi.
+    """
+    A, B, C = join(homogeneous(a), homogeneous(b))
+    g = gcd(A, B, C)
+    A, B, C = A // g, B // g, C // g
+    return (A, B, C), B * a[0] - A * a[1], B * b[0] - A * b[1]
 
 
 def _region_from_darts(darts) -> Region:

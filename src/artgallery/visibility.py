@@ -29,10 +29,10 @@ images, and a region vertex is one integer line meet, normalised once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from artgallery.rational import Q, rat
-from artgallery.gallery import PinchedGallery, SkeletalGallery, as_polygon
+from artgallery.gallery import PinchedGallery, SkeletalGallery, ViewCache, as_polygon
 from artgallery.geom.primitives import (
     Point2,
     Segment2,
@@ -54,7 +54,7 @@ from artgallery.geom.polygon import (
     locate_in_polygon_image,
     ring_signed_area,
 )
-from artgallery.geom.boolean import merge_collinear, region_boolean
+from artgallery.geom.boolean import merge_collinear, region_boolean, regions_overlap
 
 
 class NotInGallery(ValueError):
@@ -295,25 +295,76 @@ def _views(points, view, cache):
         raise ValueError("need at least one viewpoint")
     cache = {} if cache is None else cache
     for p in points:
-        if p not in cache:
-            cache[p] = view(p)
-        yield cache[p]
+        yield _cached(cache, p, view)
+
+
+def _cached(cache, p, view):
+    """cache[p], running `view(p)` only when the cache does not hold p."""
+    if p not in cache:
+        cache[p] = view(p)
+    return cache[p]
 
 
 def common_visibility(gallery, points, cache=None) -> Region:
     """Exact intersection of the viewpoints' visibility regions.
 
     Zero-area intersections (shared boundary contacts only) come back empty,
-    matching the canonical region form. `cache` maps viewpoints
-    to their visibility regions, so that a caller enumerating many tuples
-    computes each visibility polygon once.
+    matching the canonical region form. `cache` maps viewpoints to their
+    visibility regions, so that a caller enumerating many tuples computes
+    each visibility polygon once. A :class:`ViewCache` also keeps the
+    intersection of every prefix of the last tuple but its last viewpoint:
+    a tuple that shares leading viewpoints with the last one starts from
+    their intersection, and one whose shared prefix is empty is empty with
+    no further work. The regions are folded left to right either way, so
+    the result does not depend on the cache.
     """
-    acc: Optional[Region] = None
-    for vis in _views(points, lambda p: visibility_polygon(gallery, p), cache):
-        acc = vis if acc is None else region_boolean("intersect", acc, vis)
-        if acc.is_empty():
-            break
-    return acc
+    head, last = _head_and_last(gallery, points, cache)
+    if last is None:
+        return head
+    return last if head is None else region_boolean("intersect", head, last)
+
+
+def common_visibility_is_empty(gallery, points, cache=None) -> bool:
+    """Whether `common_visibility(gallery, points, cache)` is empty.
+
+    Reuses the same prefix intersections, and decides the last step with
+    `regions_overlap` instead of building the last intersection.
+    """
+    head, last = _head_and_last(gallery, points, cache)
+    if last is None:
+        return True
+    return last.is_empty() if head is None else not regions_overlap(head, last)
+
+
+def _head_and_last(gallery, points, cache):
+    """(intersection of all viewpoints' regions but the last's, or None for
+    one viewpoint; the last viewpoint's region, or None when the first part
+    is already empty)."""
+    points = [pt(p) for p in points]
+    if not points:
+        raise ValueError("need at least one viewpoint")
+    cache = {} if cache is None else cache
+    chain = cache.prefix if isinstance(cache, ViewCache) else []
+
+    def view(p):
+        return _cached(cache, p, lambda q: visibility_polygon(gallery, q))
+
+    head_points = points[:-1]
+    shared = 0
+    while shared < min(len(chain), len(head_points)) and chain[shared][0] == head_points[shared]:
+        shared += 1
+    del chain[shared:]
+    for p in head_points[shared:]:
+        acc = chain[-1][1] if chain else None
+        if acc is None:
+            acc = view(p)
+        elif not acc.is_empty():
+            acc = region_boolean("intersect", acc, view(p))
+        chain.append((p, acc))
+    head = chain[-1][1] if chain else None
+    if head is not None and head.is_empty():
+        return head, None
+    return head, view(points[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -100,11 +100,13 @@ def test_gen_simple_is_simple():
         poly = gen_simple(seed=seed, n_vertices=10)
         assert len(poly.vertices) == 10
         assert ring_is_simple(poly.vertices)
+        poly.validate()
 
 
 def test_gen_empty_kernel():
     for seed in range(3):
         poly = gen_empty_kernel(seed=seed)
+        poly.validate()
         g = Gallery(polygon=PolygonWithHoles(poly.vertices, []), classes=(), name="ek")
         assert kernel_simple(g).is_empty()
 
