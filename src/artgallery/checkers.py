@@ -460,25 +460,28 @@ def _witness_in_shape(shape, family, cfg):
     The shape is a ConvexPolygon or a Region, and the searches take their
     path from its type. "fails" is only returned when absence is certified
     (exact area obstructions, or exact optima over convex shapes); searches
-    that simply fail to find a witness return "undetermined".
+    that simply fail to find a witness return "undetermined". Exact
+    quantities are compared with the threshold exactly; cfg.tolerance only
+    enters where a float search has no exact certificate (the disc LP and
+    the fitted ellipse).
     """
     threshold = rat(cfg.threshold)
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    tol = rat(cfg.tolerance)
+    tol = rat(cfg.tolerance)  # the float searches' margin only
     convex = isinstance(shape, ConvexPolygon)
 
     if family in ("box-volume", "box-sum", "disc", "ellipse", "region-area"):
         total = shape.area()
         if family == "region-area":
-            if total >= threshold - tol:
+            if total >= threshold:
                 return "holds", ("region-area", total), None
             return "fails", None, None
         # exact area obstructions certify absence; a box, disc or ellipse of
         # positive size has positive area
         if total == 0:
             return "fails", None, None
-        if family in ("box-volume", "ellipse") and total < threshold - tol:
+        if family in ("box-volume", "ellipse") and total < threshold:
             return "fails", None, None
         if family == "disc" and rat("3.14159265") * threshold * threshold > total:
             return "fails", None, None
@@ -490,7 +493,7 @@ def _witness_in_shape(shape, family, cfg):
             box = inscribe.contains_box_of_area(shape, threshold)
         else:
             (x0, y0), (x1, y1) = region_bbox(shape)
-            if (x1 - x0) + (y1 - y0) < threshold - tol:
+            if (x1 - x0) + (y1 - y0) < threshold:
                 return "fails", None, None  # bounding box caps every contained box
             box = inscribe.contains_box_of_axis_sum(shape, threshold)
         if box is not None and inscribe.contains_box(shape, box):
@@ -524,7 +527,7 @@ def _witness_in_shape(shape, family, cfg):
                 raise ValueError("norm-segment needs a norm_ball")
             value = cfg.norm_ball.norm
             seg = inscribe.longest_norm_segment(shape, cfg.norm_ball)
-        if seg.value >= threshold - tol:
+        if seg.value >= threshold:
             return "holds", seg, None
         if convex:
             return "fails", None, None  # exact optimum over a convex shape
@@ -532,7 +535,7 @@ def _witness_in_shape(shape, family, cfg):
         # vertices, and the value is convex in b - a
         pool = [p for ring in shape.rings() for p in ring]
         bound = max(value((b[0] - a[0], b[1] - a[1])) for a, b in itertools.product(pool, repeat=2))
-        if bound < threshold - tol:
+        if bound < threshold:
             return "fails", None, None
         return "undetermined", None, family.replace("segment", "vertex-pool")
     raise ValueError(f"unknown witness family {family!r}")
@@ -561,8 +564,7 @@ def _common_witness(gallery, tup, cfg, cache=None):
     # pinched: whole components plus at most 1-dimensional pieces
     if cfg.family == "region-area":
         total = common.area()
-        tol = rat(cfg.tolerance)
-        if total >= rat(cfg.threshold) - tol:
+        if total >= rat(cfg.threshold):
             return "holds", ("region-area", total), None
         return "fails", None, None
     for idx in common.full:

@@ -5,6 +5,11 @@ The two figure galleries and the spiked construction carry their defining
 numeric facts as exact rationals; discs are regular polygons (default 720
 vertices) and every theorem quantity downstream carries the polygonalization
 tolerance stated at its use site.
+
+Floats enter the spiked construction only to choose what to compute
+exactly: where the walk to a cone's tangent vertices starts, and which n-tuple
+areas can still be the minimum m (a certified enclosure of each area, not a
+tolerance). Every value the construction returns is exact.
 """
 
 from __future__ import annotations
@@ -214,13 +219,49 @@ def disc_polygon(verts: int = 720, radius=None, area=None) -> ConvexPolygon:
 
 
 def _tangent_vertices(apex: Point2, disc: ConvexPolygon) -> Tuple[Point2, Point2]:
-    """Extreme disc vertices as seen from an exterior apex (exact)."""
-    lo = hi = disc.vertices[0]
-    for v in disc.vertices[1:]:
-        if orient(apex, hi, v) > 0:
-            hi = v
-        if orient(apex, lo, v) < 0:
-            lo = v
+    """Extreme disc vertices as seen from an exterior apex (exact): the
+    clockwise-most and the counterclockwise-most, each the lowest-index one
+    among vertices collinear with the apex on its supporting line.
+
+    From an exterior point the angle along a convex ring is unimodal, and its
+    only plateaus are edges on a supporting line through the point, so a walk
+    that moves to a strictly further neighbour stops at the global extreme.
+    Float angles only choose where the walk starts; every step is an exact
+    `det3` sign on the homogeneous images.
+    """
+    vs = disc.vertices
+    n = len(vs)
+    try:
+        ax, ay = float(apex[0]), float(apex[1])
+        rx, ry = float(vs[0][0]) - ax, float(vs[0][1]) - ay
+        turns = []  # angle of each vertex from the apex, relative to vertex 0
+        for v in vs:
+            dx, dy = float(v[0]) - ax, float(v[1]) - ay
+            turns.append(math.atan2(rx * dy - ry * dx, rx * dx + ry * dy))
+    except OverflowError:  # beyond float range: walk from vertex 0
+        turns = [0.0] * n
+    ha = homogeneous(apex)
+    hs = [homogeneous(v) for v in vs]
+
+    def walk(i, side):
+        # side +1: counterclockwise extreme, -1: clockwise extreme
+        while True:
+            for j in ((i - 1) % n, (i + 1) % n):
+                if side * det3(ha, hs[i], hs[j]) > 0:
+                    i = j
+                    break
+            else:
+                break
+        best = i  # lowest index on the supporting line through the apex
+        for step in (-1, 1):
+            j = (i + step) % n
+            while j != i and det3(ha, hs[i], hs[j]) == 0:
+                best = min(best, j)
+                j = (j + step) % n
+        return vs[best]
+
+    lo = walk(min(range(n), key=turns.__getitem__), -1)
+    hi = walk(max(range(n), key=turns.__getitem__), 1)
     return lo, hi
 
 
@@ -389,6 +430,58 @@ class SpikedGalleryParams:
     kernel_area_prescale: object
 
 
+def _area_bounds(ring) -> Tuple[float, float]:
+    """Floats lo <= area <= hi enclosing the exact shoelace area of a
+    counterclockwise ring of rational points.
+
+    Each vertex is read with the correctly rounded `float()`; the float
+    shoelace sum s of n vertices then differs from twice the area by at most
+    gamma_(2n+3) * mag, about (2n+3) * 2^-53 * mag, where mag sums the
+    absolute products, plus underflow terms of 2^-1075 per coordinate read
+    and per product. The bound used has room for the rounding of its own
+    evaluation. A ring beyond float range gets (-inf, inf).
+    """
+    n = len(ring)
+    if n < 3:
+        return 0.0, 0.0
+    try:
+        fs = [(float(p[0]), float(p[1])) for p in ring]
+    except OverflowError:
+        return -math.inf, math.inf
+    s = mag = lin = 0.0
+    for i in range(n):
+        (x0, y0), (x1, y1) = fs[i], fs[(i + 1) % n]
+        a, b = x0 * y1, x1 * y0
+        s += a - b
+        mag += abs(a) + abs(b)
+        lin += abs(x0) + abs(y0)
+    err = (2 * n + 8) * 2.0**-53 * mag + (4 * lin + 4 * n) * 2.0**-1074
+    if not (math.isfinite(s) and math.isfinite(err)):
+        return -math.inf, math.inf
+    return (s - err) / 2, (s + err) / 2
+
+
+def _min_area(polygons):
+    """Exact minimum area over an iterable of convex polygons.
+
+    A certified float filter, not a tolerance: `_area_bounds` encloses each
+    area, and only a polygon whose lower bound is at most the least upper
+    bound seen can be the minimum, so only those get an exact area. The
+    polygons are streamed; candidates drop out as that cut falls.
+    """
+    cut = math.inf
+    kept = []  # (lower bound, polygon) with lower bound <= cut
+    for poly in polygons:
+        lo, hi = _area_bounds(poly.vertices)
+        if lo > cut:
+            continue
+        if hi < cut:
+            cut = hi
+            kept = [c for c in kept if c[0] <= cut]
+        kept.append((lo, poly))
+    return min(poly.area() for _, poly in kept)
+
+
 def _cone_intersection(planes, Mp) -> ConvexPolygon:
     b = rat(Mp) * 2
     seed = (Point2(-b, -b), Point2(b, -b), Point2(b, b), Point2(-b, b))
@@ -490,6 +583,10 @@ def gen_spiked(
     smallest count of equally spaced spike directions whose cone intersection
     has area <= 1 + delta inside the M'-disc, union the spikes, scale by
     m^(-1/2). M = SPIKE_M and M' = SPIKE_MP, with area-1 disc radius < M' < M.
+
+    m is tightened to the exact minimum, over every n-tuple of spike tips,
+    of the clipped area; a certified float filter (`_min_area`) decides
+    which of those areas need computing exactly, and m is one of them.
     """
     M, Mp = SPIKE_M, SPIKE_MP
     bprime = disc_polygon(disc_poly_verts, area=1)
@@ -513,16 +610,17 @@ def gen_spiked(
         apexes = [_apex(a, M) for a in angles]
         per_apex = [cone_halfplanes(apex, bprime) for apex in apexes]
         core = _cone_intersection([h for pair in per_apex for h in pair], Mp)
-        if core.is_empty() or core.degenerate:
+        core_area = core.area()  # 0 for an empty or degenerate core
+        if core_area == 0:
             raise RuntimeError("cone intersection degenerated; M'/M too tight")
         if not all(mdisc.contains(v) for v in core.vertices):
             continue
         # m_used <= m_val, so the bound below only tightens; precheck first
-        if core.area() > 1 + delta_hat:
+        if core_area > 1 + delta_hat:
             continue
         # tighten m with the exact minimum over spike-tip n-tuples
-        m_tips = min(
-            clip_convex(mdisc.vertices, [h for k in combo for h in per_apex[k]]).area()
+        m_tips = _min_area(
+            clip_convex(mdisc.vertices, [h for k in combo for h in per_apex[k]])
             for combo in itertools.combinations(range(count), min(n, count))
         )
         m_used = min(m_val, m_tips)
@@ -530,7 +628,7 @@ def gen_spiked(
             raise RuntimeError("estimated m not > 1; enlarge M or M'")
         eps = rat(1, 2) - 1 / (2 * m_used)
         delta = eps / (2 * (1 - 2 * eps))
-        if core.area() <= 1 + delta:
+        if core_area <= 1 + delta:
             break
     else:
         raise RuntimeError(f"no spike count up to {MAX_SPIKES} meets the area bound")

@@ -12,7 +12,9 @@ arithmetic, as before signs and clip vertices moved to integers:
 - `halfplane_triple_empty` divides to find each pairwise crossing of three
   `HalfPlane`s and tests it with `HalfPlane.contains`;
 - `merge_collinear` tests `cross` and rescans the ring from its start after
-  every deletion.
+  every deletion;
+- `tangent_vertices` scans every disc vertex, testing the sign of `cross`
+  against the extreme so far.
 
 They share nothing with the library but `Point2`, `pt`, `ConvexPolygon`'s
 canonical form and `HalfPlane.contains` (a rational comparison), so a
@@ -221,3 +223,15 @@ def merge_collinear(ring):
                 changed = True
                 break
     return out
+
+
+def tangent_vertices(apex, disc: ConvexPolygon):
+    """Extreme disc vertices as seen from an exterior apex: a linear scan
+    that keeps the first vertex reaching each extreme."""
+    lo = hi = disc.vertices[0]
+    for v in disc.vertices[1:]:
+        if cross(apex, hi, v) > 0:
+            hi = v
+        if cross(apex, lo, v) < 0:
+            lo = v
+    return lo, hi

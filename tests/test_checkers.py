@@ -20,6 +20,7 @@ from artgallery.checkers import (
     kernel_status,
     search_counterexample,
 )
+from artgallery.checkers import _common_witness, _witness_in_shape
 from artgallery.gallery import Gallery, PinchedGallery
 from artgallery.galleries import gen_claim22, gen_empty_kernel, gen_fig1, gen_spider, gen_star
 from artgallery.geom.convex import ConvexPolygon, HalfPlane
@@ -307,6 +308,29 @@ def test_quantitative_disc_and_region_area():
     assert r2.classification == "CONSISTENT"
     r3 = check_quantitative(l_gallery(), None, CheckConfig(family="region-area", threshold=rat(3)))
     assert r3.classification == "VACUOUS"
+
+
+def test_exact_quantities_compare_without_tolerance():
+    # the unit square has area exactly 1: a threshold 10^-10 above it fails
+    unit = square_gallery(side=1)
+    above = rat(1) + rat(1, 10**10)
+    holds = check_quantitative(unit, None, CheckConfig(family="region-area", threshold=rat(1)))
+    assert holds.classification == "CONSISTENT"
+    over = check_quantitative(unit, None, CheckConfig(family="region-area", threshold=above))
+    assert (over.hypothesis_verdict, over.conclusion_verdict) == ("violated", "fails")
+    # the exact obstructions and segment values of the same square
+    square = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    for family, exact in (("box-volume", 1), ("ellipse", 1), ("box-sum", 2), ("vwidth-segment", 1)):
+        cfg = CheckConfig(family=family, threshold=rat(exact) + rat(1, 10**10), direction=(1, 0))
+        assert _witness_in_shape(square, family, cfg)[0] == "fails", family
+    # the pinched path: the exact area of a red-blue common visibility of fig1
+    fig1 = gen_fig1()
+    pair = (pt((7, 6)), pt((7, 3)))
+    area = fig1.common_visibility(pair).area()
+    assert area == rat(69, 22)
+    for threshold, status in ((area, "holds"), (area + rat(1, 10**10), "fails")):
+        cfg = CheckConfig(family="region-area", threshold=threshold)
+        assert _common_witness(fig1, pair, cfg)[0] == status
 
 
 def test_quantitative_vwidth_direction():

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from artgallery import docio
 from artgallery.gallery import Gallery
 from artgallery.galleries import (
     cone_halfplanes,
@@ -166,8 +167,13 @@ def test_estimate_m_returns_descent_result():
     assert me.certified_global is False
 
 
-def test_gen_spiked_parameter_relations():
-    g, p = gen_spiked(n=4, disc_poly_verts=96, seed=0, budget=4)
+@pytest.fixture(scope="module")
+def spiked4():
+    return gen_spiked(n=4, disc_poly_verts=96, seed=0, budget=4)
+
+
+def test_gen_spiked_parameter_relations(spiked4):
+    g, p = spiked4
     g.validate()
     # eps = 1/2 - 1/(2m) and delta = eps / (2 (1 - 2 eps)), both exact.
     assert p.eps == rat(1, 2) - 1 / (2 * p.m)
@@ -179,9 +185,33 @@ def test_gen_spiked_parameter_relations():
     assert abs(float(p.scale) ** 2 * float(p.m) - 1.0) < 1e-9
 
 
-def test_gen_spiked_kernel_area_scales_exactly():
-    g, p = gen_spiked(n=4, disc_poly_verts=96, seed=0, budget=4)
+def test_gen_spiked_kernel_area_scales_exactly(spiked4):
+    g, p = spiked4
     k = kernel_simple(g)
     # Areas transform by scale^2 under the final similarity; the generator
     # recorded the prescale kernel area, so the identity must be exact.
     assert k.area() == p.scale ** 2 * p.kernel_area_prescale
+
+
+def _sha256(doc):
+    return hashlib.sha256(docio.dumps(doc).encode()).hexdigest()
+
+
+def test_gen_spiked_is_pinned(spiked4):
+    """The spiked gallery and its exact parameters (m, eps, delta, scale,
+    the prescale kernel area), byte for byte."""
+    g2, p2 = gen_spiked(n=2, disc_poly_verts=24, seed=1, budget=2)
+    digests = [
+        (_sha256(docio.gallery_to_document(g)), _sha256(docio.spiked_params_to_document(p)))
+        for g, p in (spiked4, (g2, p2))
+    ]
+    assert digests == [
+        (
+            "83b9e9da6a99866199120fd94c42012c71325e970b5b5d95b7dab051f53d7906",
+            "a87e95398799c7fc35fc6ff131c5f2d2e459544490aaa9dbd90ee9fbc29bd881",
+        ),
+        (
+            "855496196612d055f87e6b4b37b0955c8a34ef383523787a026729fbf3fa290f",
+            "76502108a68e49c2c81d704a6b1d547b17e3a2a41d369c6e4b2da520f1ab5d12",
+        ),
+    ]
