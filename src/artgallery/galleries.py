@@ -25,6 +25,7 @@ from artgallery.geom.primitives import (
     Point2,
     Segment2,
     det3,
+    from_homogeneous,
     homogeneous,
     orient,
     pt,
@@ -35,6 +36,7 @@ from artgallery.geom.polygon import PolygonWithHoles, Region, SimplePolygon, sca
 from artgallery.geom.convex import (
     ConvexPolygon,
     HalfPlane,
+    clip_combinations,
     clip_convex,
     convex_hull,
 )
@@ -241,7 +243,7 @@ def _tangent_vertices(apex: Point2, disc: ConvexPolygon) -> Tuple[Point2, Point2
     except OverflowError:  # beyond float range: walk from vertex 0
         turns = [0.0] * n
     ha = homogeneous(apex)
-    hs = [homogeneous(v) for v in vs]
+    hs = disc.images
 
     def walk(i, side):
         # side +1: counterclockwise extreme, -1: clockwise extreme
@@ -432,10 +434,11 @@ class SpikedGalleryParams:
 
 def _area_bounds(ring) -> Tuple[float, float]:
     """Floats lo <= area <= hi enclosing the exact shoelace area of a
-    counterclockwise ring of rational points.
+    counterclockwise ring of integer homogeneous vertices (X, Y, W).
 
-    Each vertex is read with the correctly rounded `float()`; the float
-    shoelace sum s of n vertices then differs from twice the area by at most
+    Each coordinate is read as X / W, which Python's int true division
+    rounds correctly, as `float()` of the rational does; the float shoelace
+    sum s of n vertices then differs from twice the area by at most
     gamma_(2n+3) * mag, about (2n+3) * 2^-53 * mag, where mag sums the
     absolute products, plus underflow terms of 2^-1075 per coordinate read
     and per product. The bound used has room for the rounding of its own
@@ -445,7 +448,7 @@ def _area_bounds(ring) -> Tuple[float, float]:
     if n < 3:
         return 0.0, 0.0
     try:
-        fs = [(float(p[0]), float(p[1])) for p in ring]
+        fs = [(x / w, y / w) for x, y, w in ring]
     except OverflowError:
         return -math.inf, math.inf
     s = mag = lin = 0.0
@@ -461,25 +464,26 @@ def _area_bounds(ring) -> Tuple[float, float]:
     return (s - err) / 2, (s + err) / 2
 
 
-def _min_area(polygons):
-    """Exact minimum area over an iterable of convex polygons.
+def _min_area(rings):
+    """Exact minimum area over an iterable of convex rings of integer
+    homogeneous vertices, such as `clip_combinations` yields.
 
     A certified float filter, not a tolerance: `_area_bounds` encloses each
-    area, and only a polygon whose lower bound is at most the least upper
-    bound seen can be the minimum, so only those get an exact area. The
-    polygons are streamed; candidates drop out as that cut falls.
+    area, and only a ring whose lower bound is at most the least upper bound
+    seen can be the minimum, so only those become rational points and get an
+    exact area. The rings are streamed; candidates drop out as that cut falls.
     """
     cut = math.inf
-    kept = []  # (lower bound, polygon) with lower bound <= cut
-    for poly in polygons:
-        lo, hi = _area_bounds(poly.vertices)
+    kept = []  # (lower bound, ring) with lower bound <= cut
+    for ring in rings:
+        lo, hi = _area_bounds(ring)
         if lo > cut:
             continue
         if hi < cut:
             cut = hi
             kept = [c for c in kept if c[0] <= cut]
-        kept.append((lo, poly))
-    return min(poly.area() for _, poly in kept)
+        kept.append((lo, ring))
+    return min(ConvexPolygon([from_homogeneous(v) for v in ring]).area() for _, ring in kept)
 
 
 def _cone_intersection(planes, Mp) -> ConvexPolygon:
@@ -585,8 +589,10 @@ def gen_spiked(
     m^(-1/2). M = SPIKE_M and M' = SPIKE_MP, with area-1 disc radius < M' < M.
 
     m is tightened to the exact minimum, over every n-tuple of spike tips,
-    of the clipped area; a certified float filter (`_min_area`) decides
-    which of those areas need computing exactly, and m is one of them.
+    of the clipped area. Tuples that share leading tips share those clips
+    (`clip_combinations`), and a certified float filter on the integer
+    clip rings (`_min_area`) decides which areas need computing exactly;
+    m is one of them.
     """
     M, Mp = SPIKE_M, SPIKE_MP
     bprime = disc_polygon(disc_poly_verts, area=1)
@@ -619,10 +625,7 @@ def gen_spiked(
         if core_area > 1 + delta_hat:
             continue
         # tighten m with the exact minimum over spike-tip n-tuples
-        m_tips = _min_area(
-            clip_convex(mdisc.vertices, [h for k in combo for h in per_apex[k]])
-            for combo in itertools.combinations(range(count), min(n, count))
-        )
+        m_tips = _min_area(clip_combinations(mdisc, per_apex, min(n, count)))
         m_used = min(m_val, m_tips)
         if m_used <= 1:
             raise RuntimeError("estimated m not > 1; enlarge M or M'")

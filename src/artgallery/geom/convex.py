@@ -12,12 +12,19 @@ serves `fractions.Fraction` and `gmpy2.mpq`. Clipping builds each new vertex
 as the meet of two integer lines, the edge's and the half-plane's, so vertex
 size is bounded by the input lines rather than by clipping depth (Yap,
 "Towards exact geometric computation", CGTA 1997).
+
+Clipping is a left fold over the half-planes. `clip_combinations` clips one
+polygon by every r-combination of half-plane groups and lets combinations
+that share leading groups share those clips: the ring after a prefix is the
+same ring a fresh clip would reach.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from artgallery.rational import rat
@@ -93,6 +100,12 @@ class ConvexPolygon:
     def is_empty(self) -> bool:
         return not self.vertices
 
+    @cached_property
+    def images(self) -> Tuple[tuple, ...]:
+        """The vertices' integer homogeneous images, read once per polygon.
+        Not a field, so equality and hashing still see the vertices alone."""
+        return tuple(homogeneous(v) for v in self.vertices)
+
     def area(self):
         if len(self.vertices) < 3:
             return rat(0)
@@ -108,7 +121,7 @@ class ConvexPolygon:
         if len(vs) == 2:
             return on_segment(p, vs[0], vs[1])
         hp = homogeneous(p)
-        hs = [homogeneous(v) for v in vs]
+        hs = self.images
         return all(det3(hs[i - 1], hs[i], hp) >= 0 for i in range(len(hs)))
 
     def halfplanes(self) -> Tuple[HalfPlane, ...]:
@@ -204,20 +217,61 @@ def _clip_ring(ring, h):
     return [entry for entry, _ in dedup]
 
 
+def _start_ring(convex):
+    """The clip ring of a convex polygon or of a convex ring of points."""
+    if isinstance(convex, ConvexPolygon):
+        points, hs = convex.vertices, convex.images
+    else:
+        points = tuple(pt(p) for p in convex)
+        hs = [homogeneous(p) for p in points]
+    return [(hs[i], points[i], join(hs[i], hs[(i + 1) % len(hs)])) for i in range(len(hs))]
+
+
+def _clip_lines(ring, lines):
+    """`_clip_ring` folded over integer lines, stopping once the ring is empty."""
+    for h in lines:
+        if not ring:
+            break
+        ring = _clip_ring(ring, h)
+    return ring
+
+
 def clip_convex(convex, halfplanes) -> ConvexPolygon:
     """Clip a convex polygon by a sequence of half-planes (exact).
 
     Vertices stay integer homogeneous while clipping; each output vertex that
     is not an input vertex becomes one rational per coordinate at the end.
     """
-    points = convex.vertices if isinstance(convex, ConvexPolygon) else tuple(pt(p) for p in convex)
-    hs = [homogeneous(p) for p in points]
-    ring = [(hs[i], points[i], join(hs[i], hs[(i + 1) % len(hs)])) for i in range(len(hs))]
-    for hp in halfplanes:
-        ring = _clip_ring(ring, hp.line())
-        if not ring:
-            return ConvexPolygon(())
+    ring = _clip_lines(_start_ring(convex), (hp.line() for hp in halfplanes))
     return ConvexPolygon([from_homogeneous(p) if point is None else point for p, point, _ in ring])
+
+
+def clip_combinations(convex, groups, r):
+    """For each r-combination of the half-plane groups, in
+    `itertools.combinations` order, the integer homogeneous vertices
+    (X, Y, W) of the convex polygon clipped by the combination's half-planes:
+    the ring of `clip_convex(convex, [h for g in combo for h in groups[g]])`,
+    before canonical rotation and rational normalisation.
+
+    A stack keeps the rings of the last combination after its first 1, ...,
+    r - 1 groups; a combination clips only the groups past the prefix it
+    shares with the one before. Each half-plane's line is computed once.
+    """
+    lines = [[hp.line() for hp in group] for group in groups]
+    stack = [_start_ring(convex)]  # stack[i]: clipped by the first i groups of last
+    last = ()
+    for combo in itertools.combinations(range(len(groups)), r):
+        shared = 0
+        while shared < len(stack) - 1 and combo[shared] == last[shared]:
+            shared += 1
+        del stack[shared + 1:]
+        ring = stack[-1]
+        for i in range(shared, r):
+            ring = _clip_lines(ring, lines[combo[i]])
+            if i < r - 1:
+                stack.append(ring)
+        last = combo
+        yield tuple(p for p, _, _ in ring)
 
 
 def convex_intersect(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:

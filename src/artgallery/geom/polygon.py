@@ -24,6 +24,7 @@ from artgallery.geom.primitives import (
     homogeneous,
     pt,
     segments_intersect,
+    segments_meet,
 )
 
 
@@ -52,28 +53,23 @@ def ring_edges(ring):
 
 
 def ring_is_simple(ring) -> bool:
-    """Exact simplicity: edges meet only at shared endpoints of adjacent edges."""
+    """Exact simplicity: edges meet only at shared endpoints of adjacent edges.
+
+    Decided on the vertices' integer homogeneous images, read once, and no
+    point is built. Adjacent edges [a, b] and [b, d] of distinct vertices
+    meet beyond b only when d lies on the line ab on a's side of b; any
+    contact between other edges fails `segments_meet`.
+    """
     n = len(ring)
-    if n < 3:
+    if n < 3 or len(set(ring)) != n:
         return False
-    if len(set(ring)) != n:
-        return False
+    hs = [homogeneous(v) for v in ring]
     for i in range(n):
-        a, b = ring[i], ring[(i + 1) % n]
-        if a == b:
+        a, b, d = hs[i], hs[(i + 1) % n], hs[(i + 2) % n]
+        if det3(a, b, d) == 0 and not between(b, a, d):
             return False
-        for j in range(i + 1, n):
-            c, d = ring[j], ring[(j + 1) % n]
-            hit = segments_intersect(a, b, c, d)
-            if hit is None:
-                continue
-            adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            if not adjacent:
-                return False
-            if hit[0] != "point":
-                return False
-            shared = b if j == i + 1 else a
-            if hit[1] != shared:
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            if segments_meet(a, b, hs[j], hs[(j + 1) % n]):
                 return False
     return True
 

@@ -14,7 +14,10 @@ arithmetic, as before signs and clip vertices moved to integers:
 - `merge_collinear` tests `cross` and rescans the ring from its start after
   every deletion;
 - `tangent_vertices` scans every disc vertex, testing the sign of `cross`
-  against the extreme so far.
+  against the extreme so far;
+- `ring_is_simple` builds the intersection of every pair of edges with
+  `segments_intersect` and accepts only the shared endpoint of adjacent
+  edges.
 
 They share nothing with the library but `Point2`, `pt`, `ConvexPolygon`'s
 canonical form and `HalfPlane.contains` (a rational comparison), so a
@@ -235,3 +238,30 @@ def tangent_vertices(apex, disc: ConvexPolygon):
         if cross(apex, lo, v) < 0:
             lo = v
     return lo, hi
+
+
+def ring_is_simple(ring) -> bool:
+    """Exact simplicity: edges meet only at shared endpoints of adjacent edges."""
+    n = len(ring)
+    if n < 3:
+        return False
+    if len(set(ring)) != n:
+        return False
+    for i in range(n):
+        a, b = ring[i], ring[(i + 1) % n]
+        if a == b:
+            return False
+        for j in range(i + 1, n):
+            c, d = ring[j], ring[(j + 1) % n]
+            hit = segments_intersect(a, b, c, d)
+            if hit is None:
+                continue
+            adjacent = j == i + 1 or (i == 0 and j == n - 1)
+            if not adjacent:
+                return False
+            if hit[0] != "point":
+                return False
+            shared = b if j == i + 1 else a
+            if hit[1] != shared:
+                return False
+    return True

@@ -148,7 +148,7 @@ def test_malformed_gallery_document_exits_2(doc, tmp_path, capsys):
 
 
 # A disc ring too coarse for the spikes is a bad parameter, not an internal
-# error. (At --n 4 --disc-poly-verts 8 the same check fires after about 15 s
+# error. (At --n 4 --disc-poly-verts 8 the same check fires after about 2 s
 # of spike-count search on a 2-vCPU VM; these parameters reach it in well
 # under a second.)
 @pytest.mark.parametrize("argv", [

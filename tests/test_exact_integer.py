@@ -1,9 +1,10 @@
 """The integer homogeneous predicates and clipping against the rational
 versions they replaced, kept in `tests/exact_oracle.py`.
 
-Seeded sweeps, so every run checks the same cases. Both sides are exact, so
-the results must be equal: the same sign, the same intersection, the same
-canonical vertex tuple, the same location.
+Seeded sweeps and derandomized Hypothesis properties, so every run checks
+the same cases. Both sides are exact, so the results must be equal: the same
+sign, the same intersection, the same canonical vertex tuple, the same
+location, the same simplicity verdict.
 """
 
 import itertools
@@ -12,12 +13,14 @@ import random
 from fractions import Fraction
 
 import exact_oracle as oracle
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from artgallery.checkers import _helly_violating_edges, halfplane_triple_empty
 from artgallery.galleries import _apex, cone_halfplanes, disc_polygon, gen_empty_kernel, gen_simple, gen_star
 from artgallery.geom.boolean import merge_collinear
 from artgallery.geom.convex import ConvexPolygon, HalfPlane, clip_convex, convex_hull
-from artgallery.geom.polygon import locate_in_ring
+from artgallery.geom.polygon import locate_in_ring, ring_is_simple
 from artgallery.geom.primitives import (
     Point2,
     homogeneous,
@@ -144,6 +147,63 @@ def test_segments_meet_matches_oracle_on_fractions():
             e = _along(a, b, _small(rng))
             for seg in ((c, d), (e, d), (e, _along(a, b, _small(rng)))):
                 assert _meets(a, b, *seg) == (oracle.segments_intersect(a, b, *seg) is not None)
+
+
+# ---------------------------------------------------------------------------
+# ring_is_simple
+
+GRID = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def small_rings(draw):
+    """Rings of small-integer points: as drawn, with a vertex repeated, with
+    a vertex on another edge, with a vertex folding back along the edge that
+    enters it or running on past its end, and as convex or angle-sorted
+    (simple or nearly simple) rings."""
+    ring = [(2 * x, 2 * y) for x, y in draw(st.lists(GRID, min_size=3, max_size=8))]
+    n = len(ring)
+    kind = draw(st.sampled_from(("drawn", "repeat", "touch", "fold", "hull", "star")))
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, n))
+    if kind == "repeat":
+        ring.insert(j, ring[i])
+    elif kind == "touch":  # the midpoint of edge i, a grid point after doubling
+        (ax, ay), (bx, by) = ring[i], ring[(i + 1) % n]
+        ring.insert(j, ((ax + bx) // 2, (ay + by) // 2))
+    elif kind == "fold":  # after vertex i, a point on the line from i-1 through i
+        (px, py), (qx, qy) = ring[i - 1], ring[i]
+        t = draw(st.sampled_from((Fraction(1, 2), Fraction(2), Fraction(-1), Fraction(-1, 2))))
+        ring.insert(i + 1, (qx + t * (px - qx), qy + t * (py - qy)))
+    elif kind == "hull":
+        ring = list(convex_hull(ring).vertices)
+    elif kind == "star":
+        cx, cy = sum(x for x, _ in ring) / n, sum(y for _, y in ring) / n
+        ring.sort(key=lambda p: (math.atan2(p[1] - cy, p[0] - cx), p))
+    return [pt(p) for p in ring]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=600)
+@given(ring=small_rings())
+def test_ring_is_simple_matches_oracle(ring):
+    assert ring_is_simple(ring) == oracle.ring_is_simple(ring), ring
+
+
+@pytest.mark.parametrize("ring, simple", [
+    ([(0, 0), (4, 0), (4, 4), (0, 4)], True),
+    ([(0, 0), (2, 0), (4, 0), (4, 4)], True),  # straight run through (2, 0)
+    ([(0, 0), (4, 0), (4, 4), (4, 0), (0, 4)], False),  # repeated vertex
+    ([(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)], False),  # vertex on a far edge
+    ([(0, 0), (6, 0), (6, 4), (4, 0), (2, 0), (0, 4)], False),  # collinear overlap
+    ([(0, 0), (4, 0), (2, 0), (2, 3)], False),  # adjacent edges fold back
+    ([(0, 0), (4, 0), (6, 0), (2, 3)], True),
+    ([(0, 0), (4, 0), (8, 0)], False),  # a flat triangle folds back at (8, 0)
+    ([(0, 0), (4, 4), (4, 0), (0, 4)], False),  # bow tie
+    ([(0, 0), (4, 0)], False),
+], ids=["square", "straight-run", "repeat", "touch", "overlap", "fold", "no-fold", "flat", "bowtie", "two"])
+def test_ring_is_simple_cases(ring, simple):
+    ring = [pt(p) for p in ring]
+    assert ring_is_simple(ring) == oracle.ring_is_simple(ring) == simple
 
 
 # ---------------------------------------------------------------------------

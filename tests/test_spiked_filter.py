@@ -4,9 +4,12 @@ they stand in for.
 - `_tangent_vertices` walks from a float start to each extreme with exact
   signs; it must return the vertices of the linear scan it replaced
   (`exact_oracle.tangent_vertices`), ties on a supporting line included.
-- `_area_bounds` encloses an exact shoelace area in two floats, and
-  `_min_area` uses the enclosures to skip exact areas that cannot be the
-  minimum; the minimum must be the exact one, on ties and near-ties too.
+- `_area_bounds` encloses an exact shoelace area in two floats, read from
+  a ring of integer homogeneous vertices, and `_min_area` uses the
+  enclosures to skip exact areas that cannot be the minimum; the minimum
+  must be the exact one, on ties and near-ties too. The rings are given as
+  `clip_combinations` yields them: not rotated, and with a common factor
+  left in (X, Y, W), as a line meet leaves it.
 """
 
 import itertools
@@ -17,8 +20,8 @@ import exact_oracle as oracle
 from hypothesis import given, settings, strategies as st
 
 from artgallery.galleries import _apex, _area_bounds, _min_area, _tangent_vertices, cone_halfplanes, disc_polygon
-from artgallery.geom.convex import ConvexPolygon, clip_convex, convex_hull
-from artgallery.geom.primitives import Point2
+from artgallery.geom.convex import ConvexPolygon, clip_combinations, clip_convex, convex_hull
+from artgallery.geom.primitives import Point2, homogeneous
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 
@@ -87,6 +90,14 @@ def test_tangent_walk_matches_scan_near_the_disc():
 # Area enclosure and the filtered minimum
 
 SCALES = (0, 0, 1, -60, 60, -550, 550, -1070, -1100, 1030, 1100)
+FACTORS = (1, 3, 2**70 + 1, 7**400)
+
+
+def _ring(poly, factor=1, start=0):
+    """The polygon's vertex images from vertex `start`, each (X, Y, W)
+    multiplied by `factor`."""
+    vs = poly.vertices[start:] + poly.vertices[:start]
+    return [(x * factor, y * factor, w * factor) for x, y, w in map(homogeneous, vs)]
 
 
 @st.composite
@@ -103,23 +114,24 @@ def convex_polygons(draw):
 
 
 @PROPERTY
-@given(poly=convex_polygons())
-def test_area_bounds_enclose_the_exact_area(poly):
-    lo, hi = _area_bounds(poly.vertices)
+@given(poly=convex_polygons(), factor=st.sampled_from(FACTORS), start=st.integers(0, 11))
+def test_area_bounds_enclose_the_exact_area(poly, factor, start):
+    lo, hi = _area_bounds(_ring(poly, factor, start % len(poly.vertices)))
     assert lo <= poly.area() <= hi
 
 
 def test_area_bounds_of_a_ring_beyond_float_range_are_unbounded():
     big = Fraction(2) ** 1100
     poly = ConvexPolygon([(0, 0), (big, 0), (0, big)])
-    assert _area_bounds(poly.vertices) == (-math.inf, math.inf)
-    assert _area_bounds(ConvexPolygon([(0, 0), (1, 1)]).vertices) == (0.0, 0.0)
+    assert _area_bounds(_ring(poly)) == (-math.inf, math.inf)
+    assert _area_bounds(_ring(poly, 7**400)) == (-math.inf, math.inf)
+    assert _area_bounds(_ring(ConvexPolygon([(0, 0), (1, 1)]))) == (0.0, 0.0)
 
 
 @settings(PROPERTY, max_examples=30)
-@given(polys=st.lists(convex_polygons(), min_size=1, max_size=6))
-def test_filtered_minimum_is_the_exact_minimum(polys):
-    assert _min_area(iter(polys)) == min(p.area() for p in polys)
+@given(polys=st.lists(convex_polygons(), min_size=1, max_size=6), factor=st.sampled_from(FACTORS))
+def test_filtered_minimum_is_the_exact_minimum(polys, factor):
+    assert _min_area(_ring(p, factor) for p in polys) == min(p.area() for p in polys)
 
 
 def _shifted(poly, dx, dy):
@@ -128,21 +140,21 @@ def _shifted(poly, dx, dy):
 
 def test_filtered_minimum_on_exact_ties_and_degenerate_polygons():
     square = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    ties = [_shifted(square, 3, 5), square, _shifted(square, Fraction(1, 3), -7)]
+    ties = [_ring(_shifted(square, 3, 5)), _ring(square, 6, 2), _ring(_shifted(square, Fraction(1, 3), -7))]
     assert _min_area(ties) == 1
     big = Fraction(2) ** 1100
     degenerate = [
-        ConvexPolygon(()),
-        ConvexPolygon([(2, 2)]),
-        ConvexPolygon([(0, 0), (big, big)]),
-        ConvexPolygon([(0, 0), (1, 1), (2, 2)]),  # three collinear vertices
+        (),
+        _ring(ConvexPolygon([(2, 2)])),
+        _ring(ConvexPolygon([(0, 0), (big, big)])),
+        [(0, 0, 1), (1, 1, 1), (2, 2, 1)],  # three collinear vertices
     ]
     for d in degenerate:
         assert _min_area(ties + [d]) == 0
         assert _min_area([d] + ties) == 0
-    huge = ConvexPolygon([(0, 0), (big, 0), (0, big)])
+    huge = _ring(ConvexPolygon([(0, 0), (big, 0), (0, big)]))
     assert _min_area([huge] + ties) == 1
-    assert _min_area([ConvexPolygon([(0, 0), (1, 0), (0, 1)]), huge]) == Fraction(1, 2)
+    assert _min_area([_ring(ConvexPolygon([(0, 0), (1, 0), (0, 1)])), huge]) == Fraction(1, 2)
 
 
 def test_filtered_minimum_on_near_ties_of_rotated_cones():
@@ -153,13 +165,13 @@ def test_filtered_minimum_on_near_ties_of_rotated_cones():
     mdisc = disc_polygon(24, radius=2)
     for count, n in ((6, 2), (7, 3), (8, 4)):
         per_apex = [cone_halfplanes(_apex(2.0 * math.pi * k / count, 10), bprime) for k in range(count)]
-        polys = [
-            clip_convex(mdisc.vertices, [h for k in combo for h in per_apex[k]])
+        areas = [
+            clip_convex(mdisc.vertices, [h for k in combo for h in per_apex[k]]).area()
             for combo in itertools.combinations(range(count), n)
         ]
-        areas = [p.area() for p in polys]
         low = min(areas)
         near = [a for a in areas if a != low and float(a) == float(low)]
         assert near, "no near-tie below float resolution"
-        assert _min_area(iter(polys)) == low
-        assert _min_area(reversed(polys)) == low
+        rings = list(clip_combinations(mdisc, per_apex, n))
+        assert _min_area(iter(rings)) == low
+        assert _min_area(reversed(rings)) == low
