@@ -460,10 +460,11 @@ def _witness_in_shape(shape, family, cfg):
     The shape is a ConvexPolygon or a Region, and the searches take their
     path from its type. "fails" is only returned when absence is certified
     (exact area obstructions, or exact optima over convex shapes); searches
-    that simply fail to find a witness return "undetermined". Exact
-    quantities are compared with the threshold exactly; cfg.tolerance only
-    enters where a float search has no exact certificate (the disc LP and
-    the fitted ellipse).
+    that simply fail to find a witness return "undetermined". Every witness
+    is certified exactly, and exact quantities are compared with the
+    threshold exactly. cfg.tolerance enters only two float comparisons: the
+    LP disc's radius, before "fails" ("disc-lp-float"), and the certified
+    ellipse's float area, before "holds" ("mvie-float").
     """
     threshold = rat(cfg.threshold)
     if threshold <= 0:
@@ -515,6 +516,8 @@ def _witness_in_shape(shape, family, cfg):
         if not convex:
             return "undetermined", None, "ellipse-needs-convex"
         ell = inscribe.mvie(shape)
+        if ell is None:
+            return "undetermined", None, "ellipse-certificate-failed"
         if rat(ell.area()) >= threshold - tol:
             return "holds", ell, "mvie-float"
         return "fails", None, "mvie-float-not-certified"

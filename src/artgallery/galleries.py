@@ -723,7 +723,7 @@ def gen_simple(seed: int, n_vertices: int) -> SimplePolygon:
             crossing = _first_crossing(ring)
             if crossing is None:
                 poly = SimplePolygon(tuple(ring))
-                if poly.signed_area() == 0:
+                if poly.signed_area == 0:
                     break
                 # distinct points, no collinear triple, no meeting non-adjacent
                 # edges and nonzero area: the ring is simple, no rescan needed

@@ -14,6 +14,7 @@ Membership is closed-set membership: boundary points belong to the set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from artgallery.rational import rat
@@ -83,15 +84,17 @@ class SimplePolygon:
     def __init__(self, vertices):
         object.__setattr__(self, "vertices", _ring(vertices))
 
+    @cached_property
     def signed_area(self):
+        """The shoelace sum, taken once per polygon (not a field)."""
         return ring_signed_area(self.vertices)
 
     def area(self):
-        a = self.signed_area()
+        a = self.signed_area
         return a if a >= 0 else -a
 
     def is_ccw(self) -> bool:
-        return self.signed_area() > 0
+        return self.signed_area > 0
 
     def ccw(self) -> "SimplePolygon":
         return self if self.is_ccw() else SimplePolygon(tuple(reversed(self.vertices)))
@@ -107,7 +110,7 @@ class SimplePolygon:
             raise ValueError("polygon needs at least 3 vertices")
         if not self.is_simple():
             raise ValueError("polygon is not simple")
-        if self.signed_area() == 0:
+        if self.signed_area == 0:
             raise ValueError("polygon has zero area")
         return self
 

@@ -10,11 +10,9 @@ is recertified:
     so their containment is exact by construction; `contains_box` checks a
     box's corners in a convex polygon and an exact region difference in a
     region;
-  * disc witnesses are certified by `contains_disc`: a rational 96-gon whose
-    apothem is exactly at least the radius lies in the shape (an exact
-    region difference);
-  * ellipse witnesses are recertified by sampling 720 boundary points and
-    requiring containment margin >= -1e-9;
+  * disc and ellipse witnesses are certified exactly, one inequality per
+    edge (`contains_disc`, `ellipse_contained`): the centre's slack against
+    the edge covers the body's reach toward it;
   * segment witnesses are recertified by exact segment containment.
 
 A None from a search means the search resolution was exhausted, never a
@@ -32,7 +30,7 @@ import numpy as np
 
 from artgallery.rational import rat, rationalize
 from artgallery.geom.primitives import Point2
-from artgallery.geom.polygon import Region, as_region, locate_in_polygon, point_in_region, region_bbox
+from artgallery.geom.polygon import Region, locate_in_polygon, locate_in_region, point_in_region, region_bbox
 from artgallery.geom.convex import ConvexPolygon, HalfPlane, clip_convex, convex_hull
 from artgallery.geom.boolean import region_boolean
 from artgallery.visibility import segment_in_polygon
@@ -41,11 +39,8 @@ BOX_SCAN_SAMPLES = 512  # widths per convex box scan
 BOX_GRID_ANCHORS = 24  # region box search: anchor steps per axis
 BOX_GRID_ASPECTS = 24  # region box search: widths tried
 DISC_GRID = 8  # region disc search: centre steps per axis
-DISC_POLYGON_VERTS = 96  # vertices of the rational polygon around a disc
 MVIE_TOL = 1e-8  # barrier continuation stops below this duality gap
 MVIE_MAX_ITER = 400
-ELLIPSE_SAMPLES = 720  # boundary points of the sampled ellipse certificate
-ELLIPSE_MARGIN = 1e-9
 
 # ---------------------------------------------------------------------------
 # Witness types
@@ -89,17 +84,8 @@ class Ellipse:
     a12: float
     a22: float
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a12, self.a22]], dtype=float)
-
     def area(self) -> float:
         return math.pi * (self.a11 * self.a22 - self.a12 * self.a12)
-
-    def boundary_points(self) -> np.ndarray:
-        t = np.linspace(0.0, 2.0 * math.pi, ELLIPSE_SAMPLES, endpoint=False)
-        u = np.stack([np.cos(t), np.sin(t)])
-        p = self.matrix() @ u
-        return (p + np.array(self.center)[:, None]).T
 
 
 @dataclass(frozen=True)
@@ -342,35 +328,42 @@ def max_inscribed_disc(c: ConvexPolygon) -> Disc:
     return Disc(x, y, r)
 
 
-def _circumscribed_disc_polygon(center, r) -> Optional[ConvexPolygon]:
-    """Convex polygon certified (exactly) to contain the disc of radius r."""
-    cx, cy = rat(center[0]), rat(center[1])
-    r = rat(r)
-    R = float(r) / math.cos(math.pi / DISC_POLYGON_VERTS) * (1.0 + 1e-9)
-    ring = [
-        Point2(
-            cx + rationalize(R * math.cos(2 * math.pi * k / DISC_POLYGON_VERTS)),
-            cy + rationalize(R * math.sin(2 * math.pi * k / DISC_POLYGON_VERTS)),
-        )
-        for k in range(DISC_POLYGON_VERTS)
-    ]
-    poly = ConvexPolygon(ring)
-    if poly.degenerate:
-        return None
-    for hp in poly.halfplanes():
-        slack = hp.c - (hp.a * cx + hp.b * cy)
-        if slack < 0 or slack * slack < r * r * (hp.a * hp.a + hp.b * hp.b):
-            return None  # apothem dipped below r; not a certificate
-    return poly
+def _clear_of_segment(c, p, q, r2) -> bool:
+    """The squared distance from c to the closed segment pq is at least r2:
+    to p or q when c projects outside pq, else cross^2 / |q - p|^2, compared
+    undivided."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    wx, wy = c[0] - p[0], c[1] - p[1]
+    along, length2 = wx * dx + wy * dy, dx * dx + dy * dy
+    if along <= 0:
+        return wx * wx + wy * wy >= r2
+    if along >= length2:
+        ux, uy = c[0] - q[0], c[1] - q[1]
+        return ux * ux + uy * uy >= r2
+    side = dx * wy - dy * wx
+    return side * side >= r2 * length2
 
 
 def contains_disc(shape, center, r) -> bool:
-    """Exact certificate for the disc of radius r about a rational center:
-    a rational polygon around the disc lies in shape."""
-    poly = _circumscribed_disc_polygon(center, r)
-    if poly is None:
+    """Exact certificate for the closed disc of radius r about a rational
+    center. In a convex polygon, each edge half-plane a.x <= b leaves the
+    center a slack s = b - a.center >= 0 with s^2 >= r^2 |a|^2. In a region,
+    the center is interior and at least r from every boundary segment, so
+    the open disc misses the boundary: exact on a canonical region (no
+    positive-length edge has interior on both sides), conservative otherwise.
+    """
+    cx, cy = rat(center[0]), rat(center[1])
+    r2 = rat(r) * rat(r)
+    if isinstance(shape, ConvexPolygon):
+        for hp in shape.halfplanes():
+            s = hp.c - (hp.a * cx + hp.b * cy)
+            if s < 0 or s * s < r2 * (hp.a * hp.a + hp.b * hp.b):
+                return False
+        return True
+    c = Point2(cx, cy)
+    if locate_in_region(c, shape) != "in":
         return False
-    return _region_contains(as_region(shape), poly.vertices)
+    return all(_clear_of_segment(c, p, q, r2) for p, q in shape.boundary_edges())
 
 
 def nonconvex_disc_search(region: Region, r) -> Optional[Disc]:
@@ -382,14 +375,8 @@ def nonconvex_disc_search(region: Region, r) -> Optional[Disc]:
         ((i, j) for i in range(1, DISC_GRID) for j in range(1, DISC_GRID)),
         key=lambda ij: abs(ij[0] * 2 - DISC_GRID) + abs(ij[1] * 2 - DISC_GRID),
     )
-    r = rat(r)
     for i, j in cells:
         c = Point2(x0 + (x1 - x0) * rat(i, DISC_GRID), y0 + (y1 - y0) * rat(j, DISC_GRID))
-        # cardinal points prune clearly poking discs before the exact boolean
-        probes = (c, Point2(c[0] + r, c[1]), Point2(c[0] - r, c[1]),
-                  Point2(c[0], c[1] + r), Point2(c[0], c[1] - r))
-        if not all(point_in_region(p, region) for p in probes):
-            continue
         if contains_disc(region, c, r):
             return Disc(float(c[0]), float(c[1]), float(r))
     return None
@@ -434,13 +421,13 @@ def _mvie_grad(z, rows, mu):
     return g
 
 
-def mvie(c: ConvexPolygon) -> Ellipse:
+def mvie(c: ConvexPolygon) -> Optional[Ellipse]:
     """Maximum-volume inscribed ellipse of a convex polygon.
 
     Damped Newton ascent on the log-det barrier formulation with barrier
-    continuation; the returned ellipse satisfies the sampled containment
-    recertification, and the final KKT (duality-gap) residual is below
-    MVIE_TOL.
+    continuation; the final KKT (duality-gap) residual is below MVIE_TOL.
+    The returned ellipse passes the exact certificate `ellipse_contained`,
+    after at most seven 1 - 1e-9 shrinks; None when none of them passes.
     """
     rows = _unit_normals(c)
     disc = max_inscribed_disc(c)
@@ -490,15 +477,20 @@ def mvie(c: ConvexPolygon) -> Ellipse:
             return ell
         shrink = 1.0 - 1e-9
         ell = Ellipse(ell.center, ell.a11 * shrink, ell.a12 * shrink, ell.a22 * shrink)
-    return ell
+    return None
 
 
 def ellipse_contained(c: ConvexPolygon, ell: Ellipse) -> bool:
-    """Recertify an ellipse witness by sampled boundary containment."""
-    rows = _unit_normals(c)
-    pts = ell.boundary_points()
-    for a, b, cc in rows:
-        if np.max(pts[:, 0] * a + pts[:, 1] * b - cc) > ELLIPSE_MARGIN:
+    """Exact certificate for an ellipse witness, its floats read as
+    rationals: center + A u (|u| <= 1) lies in the half-plane a.x <= b iff
+    s = b - a.center >= 0 and s^2 >= |A a|^2, the support function of the
+    ellipse in the direction a (A is symmetric, so A^T a = A a)."""
+    cx, cy = rat(ell.center[0]), rat(ell.center[1])
+    a11, a12, a22 = rat(ell.a11), rat(ell.a12), rat(ell.a22)
+    for hp in c.halfplanes():
+        s = hp.c - (hp.a * cx + hp.b * cy)
+        ux, uy = a11 * hp.a + a12 * hp.b, a12 * hp.a + a22 * hp.b
+        if s < 0 or s * s < ux * ux + uy * uy:
             return False
     return True
 

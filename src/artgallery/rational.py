@@ -25,9 +25,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 #: decimal strings and (exactly converted) floats.
 Q = _Q
 
-ZERO = Q(0)
-ONE = Q(1)
-
 
 def rat(value, denom=None):
     """Build an exact rational.

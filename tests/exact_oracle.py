@@ -22,10 +22,27 @@ arithmetic, as before signs and clip vertices moved to integers:
 They share nothing with the library but `Point2`, `pt`, `ConvexPolygon`'s
 canonical form and `HalfPlane.contains` (a rational comparison), so a
 mismatch points at the integer code.
+
+Two more are the disc and ellipse certificates that the exact per-edge
+inequalities of `inscribe` replaced. Both are one-way: a True says the body
+lies in the shape (up to the sampled margin, for the ellipse), a False says
+nothing.
+- `disc_polygon_certificate` puts a rational 96-gon, its apothem checked
+  exactly to be at least r, around the disc and tests it with an exact
+  `region_boolean` difference;
+- `sampled_ellipse_contained` tests 720 boundary points of the ellipse
+  against every edge line with a 1e-9 margin.
 """
 
+import math
+
+import numpy as np
+
+from artgallery.geom.boolean import region_boolean
 from artgallery.geom.convex import ConvexPolygon
+from artgallery.geom.polygon import Region, as_region
 from artgallery.geom.primitives import Point2, pt
+from artgallery.rational import rat, rationalize
 
 
 def cross(o, a, b):
@@ -264,4 +281,41 @@ def ring_is_simple(ring) -> bool:
             shared = b if j == i + 1 else a
             if hit[1] != shared:
                 return False
+    return True
+
+
+def disc_polygon_certificate(shape, center, r) -> bool:
+    """A rational 96-gon around the disc lies in shape: its vertices round
+    the circumradius polygon with `rationalize`, so a disc below a radius of
+    about 1e-9 never certifies, and the polygon's margin keeps a disc that
+    touches the boundary from certifying."""
+    cx, cy = rat(center[0]), rat(center[1])
+    r = rat(r)
+    n = 96
+    R = float(r) / math.cos(math.pi / n) * (1.0 + 1e-9)
+    poly = ConvexPolygon([
+        Point2(cx + rationalize(R * math.cos(2 * math.pi * k / n)),
+               cy + rationalize(R * math.sin(2 * math.pi * k / n)))
+        for k in range(n)
+    ])
+    if poly.degenerate:
+        return False
+    for hp in poly.halfplanes():
+        slack = hp.c - (hp.a * cx + hp.b * cy)
+        if slack < 0 or slack * slack < r * r * (hp.a * hp.a + hp.b * hp.b):
+            return False  # apothem dipped below r
+    return region_boolean("difference", Region((poly.vertices,)), as_region(shape)).is_empty()
+
+
+def sampled_ellipse_contained(c: ConvexPolygon, ell) -> bool:
+    """Each of 720 boundary points of the ellipse lies within 1e-9 of every
+    edge half-plane of c (unit normals, in floats)."""
+    t = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    A = np.array([[ell.a11, ell.a12], [ell.a12, ell.a22]], dtype=float)
+    pts = (A @ np.stack([np.cos(t), np.sin(t)]) + np.array(ell.center, dtype=float)[:, None]).T
+    for hp in c.halfplanes():
+        a, b, h = float(hp.a), float(hp.b), float(hp.c)
+        n = math.hypot(a, b)
+        if np.max(pts[:, 0] * (a / n) + pts[:, 1] * (b / n) - h / n) > 1e-9:
+            return False
     return True

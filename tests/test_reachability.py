@@ -1,10 +1,12 @@
-"""Every top-level function and class, and every method, in the package is
-reached.
+"""Every top-level function, class and constant, and every method, in the
+package is reached.
 
 A stdlib-`ast` check: a top-level definition in `src/artgallery` counts as
 reached when its name is read (as a name, an attribute or an identifier
 string) outside its own body, in another definition that is itself reached,
-in module-level code, or in a benchmark script `perfbench/*.py`. A method (a
+in module-level code, or in a benchmark script `perfbench/*.py`. A constant
+is a name bound by a top-level assignment; its body is the assigned value,
+so a constant that only unreached definitions read is unreached. A method (a
 function defined in a class body) counts as reached the same way, except that
 only reads as an attribute count: a bare name or a string of the same
 spelling is something else (a local variable, a unit label). Definitions
@@ -28,6 +30,7 @@ PERFBENCH = PACKAGE.parents[1] / "perfbench"
 EXEMPT_MODULES = {"param.py"}
 EXEMPT = {("visibility.py", "sees")}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+ASSIGNS = (ast.Assign, ast.AnnAssign)
 
 
 def _reads(nodes):
@@ -49,12 +52,21 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _assigned_names(node):
+    """Names a top-level assignment binds, unpacking tuple targets."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
 def _definitions(module, tree):
-    """(key, reads) for each top-level def or class and each non-dunder
-    method; the key of a method is (module, "Class.method")."""
+    """(key, reads) for each top-level def, class or constant and each
+    non-dunder method; the key of a method is (module, "Class.method")."""
     for node in tree.body:
         if isinstance(node, FUNCTIONS):
             yield (module, node.name), _reads([node])
+        elif isinstance(node, ASSIGNS):
+            for name in _assigned_names(node):
+                yield (module, name), _reads([node.value] if node.value else [])
         elif isinstance(node, ast.ClassDef):
             methods = [s for s in node.body if isinstance(s, FUNCTIONS) and not _is_dunder(s.name)]
             own = [s for s in node.body if s not in methods]
@@ -84,7 +96,7 @@ def unreached_definitions(package: Path, scripts):
                 always.append(reads)
             else:
                 defs[key] = reads
-        always.append(_reads(n for n in tree.body if not isinstance(n, FUNCTIONS + (ast.ClassDef,))))
+        always.append(_reads(n for n in tree.body if not isinstance(n, FUNCTIONS + ASSIGNS + (ast.ClassDef,))))
     for path in scripts:
         always.append(_reads([ast.parse(path.read_text(encoding="utf-8"))]))
 

@@ -8,8 +8,10 @@
 * Every "holds" witness is re-checked exactly here, independently of the
   certificate the search used: a box by its corners or by an exact region
   difference, a disc by a rational 96-gon whose apothem is at least the
-  radius, a segment by its ends, its closed containment and its value.
-  Ellipse witnesses are certified only by sampling and must say so.
+  radius, an ellipse by its support function against every edge of its
+  convex region, a segment by its ends, its closed containment and its
+  value. An ellipse's area is compared in floats, and the report must say
+  so.
 """
 
 import hashlib
@@ -29,6 +31,7 @@ from artgallery.geom.primitives import Point2
 from artgallery.inscribe import (
     Box2,
     Disc,
+    Ellipse,
     PolytopeNormBall,
     SegmentWitness,
     contains_box,
@@ -148,10 +151,12 @@ def searches():
     return {name: convex_searches(c) for name, c in convex_shapes().items()}
 
 
-# sha256 of the report and search documents over the sweep, recorded before
-# the witness layer chose its path from the shape's type; every witness and
-# verdict stayed the same.
-WITNESS_PIN = "58e25e8c4850262c833684b22406681a14807066c2429b3b8d0b969da2d285ef"
+# sha256 of the report and search documents over the sweep. Re-recorded when
+# the disc certificate became exact: one report changed, donut/disc/3/4/, from
+# UNDETERMINED (disc-grid-resolution, 2 tuples) to CONSISTENT_WITH_CLAIM. Its
+# grid centres hold radius-3/4 discs that touch the walls, which the rational
+# 96-gon, wider than the disc, could never certify.
+WITNESS_PIN = "25dadd159e7ad9f7db67e67cad92004676f6131736f83d8f49a8a8ef3c3f6e10"
 
 
 def test_witness_sweep_is_pinned(reports, searches):
@@ -215,6 +220,27 @@ def polygon_around_disc(cx, cy, r, n=96):
     return ring
 
 
+def ellipse_in_convex_region(region: Region, ell: Ellipse) -> bool:
+    """Exact, on the ellipse's floats read as rationals: the region is one
+    convex ring, and for each edge's half-plane a.x <= b the ellipse
+    c + A u (|u| <= 1) reaches at most b, i.e. s = b - a.c >= 0 and
+    s^2 >= |A^T a|^2."""
+    (comp,) = region.components
+    ring = list(comp.outer.vertices)
+    edges = list(zip(ring, ring[1:] + ring[:1]))
+    assert not comp.holes
+    assert all(_cross(_sub(q, p), _sub(r, q)) > 0 for (p, q), (_, r) in zip(edges, edges[1:] + edges[:1]))
+    c = (rat(ell.center[0]), rat(ell.center[1]))
+    A = ((rat(ell.a11), rat(ell.a12)), (rat(ell.a12), rat(ell.a22)))
+    for p, q in edges:
+        a = (q[1] - p[1], p[0] - q[0])  # the interior is left of p -> q
+        s = a[0] * (p[0] - c[0]) + a[1] * (p[1] - c[1])
+        reach = [A[0][j] * a[0] + A[1][j] * a[1] for j in range(2)]  # A^T a
+        if s < 0 or s * s < reach[0] ** 2 + reach[1] ** 2:
+            return False
+    return True
+
+
 def recheck(shape: Region, witness, qualifier, family, cfg):
     """The witness of a "holds" verdict really is one, checked exactly in
     the region (the kernel or the common visibility it was found in)."""
@@ -230,7 +256,8 @@ def recheck(shape: Region, witness, qualifier, family, cfg):
         assert ring is not None
         assert region_boolean("difference", Region((ring,)), shape).is_empty()
     elif family == "ellipse":
-        assert qualifier == "mvie-float"  # sampled, not exact: it must say so
+        assert qualifier == "mvie-float"  # the area is a float comparison: it must say so
+        assert isinstance(witness, Ellipse) and ellipse_in_convex_region(shape, witness)
     else:
         assert isinstance(witness, SegmentWitness)
         assert point_in_region(witness.a, shape) and point_in_region(witness.b, shape)
