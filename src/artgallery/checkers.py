@@ -122,6 +122,8 @@ class CheckConfig:
 
     def tuple_size(self) -> int:
         if self.k is not None:
+            if self.k < 1:
+                raise ValueError("k must be at least 1")
             return self.k
         fam = self.family or self.theorem
         k = DEFAULT_K.get(fam)
@@ -289,10 +291,11 @@ def check_classic(gallery, candidates: Optional[CandidateSet] = None,
             qualifiers=qualifiers, config=cfg,
         )
 
-    if isinstance(gallery, Gallery) and gallery.simply_connected:
+    if k >= 3 and isinstance(gallery, Gallery) and gallery.simply_connected:
         # empty kernel: Helly yields three edge half-planes with empty
         # intersection; visibility from an edge midpoint stays in the edge's
-        # inner half-plane, so the three midpoints cannot see a common point
+        # inner half-plane, so the three midpoints, and any k-tuple holding
+        # them, cannot see a common point
         poly = gallery.polygon
         combo = _helly_violating_edges(poly)
         if combo is not None:

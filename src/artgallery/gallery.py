@@ -17,7 +17,7 @@ hold:
     ``cache``, for every kind, maps each viewpoint to its visibility set, so
     that a caller judging many tuples computes each viewpoint's once; a
     :class:`ViewCache` also keeps the last tuple's prefix intersections,
-    which a polygonal gallery reuses for the next tuple;
+    which every kind reuses for the next tuple;
   * ``common_visibility_is_empty(points, cache=None)``: whether that common
     visibility is empty, which a polygonal gallery decides without building
     the last intersection;
@@ -76,12 +76,12 @@ def _bbox(points):
 class ViewCache(dict):
     """Viewpoint -> visibility set, for a caller that judges many tuples.
 
-    ``prefix`` holds the intersection chain of the last polygonal tuple but
-    its last viewpoint: ``(viewpoint, region)`` pairs, region i being the
-    common visibility of viewpoints 0..i. Consecutive tuples of
+    ``prefix`` holds the intersection chain of the last tuple but its last
+    viewpoint, for every kind: ``(viewpoint, meet)`` pairs, meet i being that
+    of the visibility sets of viewpoints 0..i. Consecutive tuples of
     ``itertools.combinations`` and ``itertools.product`` share leading
     viewpoints, so the next tuple recomputes only past the shared part, and
-    the chain never holds more than k - 1 regions for tuples of size k.
+    the chain never holds more than k - 1 meets for tuples of size k.
     """
 
     def __init__(self):

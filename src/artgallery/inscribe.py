@@ -152,9 +152,9 @@ def erode_convex_by_box(c: ConvexPolygon, w, h) -> ConvexPolygon:
 
 
 def _convex_box_scan(c: ConvexPolygon, widths, side_for_width) -> Optional[Box2]:
-    """First box that fits over the width scan, else over a bisection
-    between consecutive scan widths; the box's min corner is the smallest
-    vertex of the exact erosion."""
+    """First box that fits over the width scan, else at the midpoint of
+    each pair of consecutive scan widths; the box's min corner is the
+    smallest vertex of the exact erosion."""
 
     def fit(w):
         h = side_for_width(w)
@@ -173,13 +173,9 @@ def _convex_box_scan(c: ConvexPolygon, widths, side_for_width) -> Optional[Box2]
         if box is not None:
             return box
     for lo, hi in zip(ws, ws[1:]):
-        for _ in range(24):
-            mid = (lo + hi) / 2
-            box = fit(mid)
-            if box is not None:
-                return box
-            # No gradient to follow; shrink toward the center of the bracket.
-            lo, hi = lo + (mid - lo) / 2, hi - (hi - mid) / 2
+        box = fit((lo + hi) / 2)
+        if box is not None:
+            return box
     return None
 
 
@@ -187,10 +183,10 @@ def contains_box_of_area(shape, target_area) -> Optional[Box2]:
     """Search for an axis-parallel box of exactly the target area inside shape.
 
     Convex path: log-spaced width scan (512 samples) over the feasible width
-    range, then local bisection refinement. The witness box has exact
-    rational sides with w*h == target_area. Region path: a certified grid
-    placement search. Returns None when the search finds nothing; that is a
-    resolution statement, not a nonexistence proof.
+    range, then the midpoint of each pair of consecutive widths. The witness
+    box has exact rational sides with w*h == target_area. Region path: a
+    certified grid placement search. Returns None when the search finds
+    nothing; that is a resolution statement, not a nonexistence proof.
     """
     a = rat(target_area)
     if a <= 0:

@@ -287,22 +287,41 @@ def visibility_polygon(gallery, x) -> Region:
     return Region(tuple(comps))
 
 
-def _views(points, view, cache):
-    """Each viewpoint's visibility, in order and lazily: `view(p)` runs only
-    for a viewpoint that `cache` (viewpoint -> visibility) does not hold."""
+def _fold(points, cache, view, meet):
+    """Fold the viewpoints' sets left to right, for every gallery kind:
+    (the meet of every set but the last's, or None for one viewpoint; the
+    last set, or None when that meet is empty, past which no viewpoint is
+    looked at). `view(p)` is p's set, `meet(a, b)` a new set that leaves a
+    and b as they are, and every set answers `is_empty()`.
+
+    `cache` maps viewpoints to their sets, so `view` runs once per viewpoint
+    over many tuples. A :class:`ViewCache` also keeps the last tuple's prefix
+    meets: a tuple that shares leading viewpoints with it starts from their
+    meet. The result does not depend on the cache.
+    """
     points = [pt(p) for p in points]
     if not points:
         raise ValueError("need at least one viewpoint")
     cache = {} if cache is None else cache
-    for p in points:
-        yield _cached(cache, p, view)
+    chain = cache.prefix if isinstance(cache, ViewCache) else []
+    shared = 0
+    while shared < min(len(chain), len(points) - 1) and chain[shared][0] == points[shared]:
+        shared += 1
+    del chain[shared:]
+    head = chain[-1][1] if chain else None
+    for p in points[shared:]:
+        if head is not None and head.is_empty():
+            return head, None
+        if p not in cache:
+            cache[p] = view(p)
+        if len(chain) == len(points) - 1:  # p is the last viewpoint
+            return head, cache[p]
+        head = cache[p] if head is None else meet(head, cache[p])
+        chain.append((p, head))
 
 
-def _cached(cache, p, view):
-    """cache[p], running `view(p)` only when the cache does not hold p."""
-    if p not in cache:
-        cache[p] = view(p)
-    return cache[p]
+def _intersect(a: Region, b: Region) -> Region:
+    return region_boolean("intersect", a, b)
 
 
 def common_visibility(gallery, points, cache=None) -> Region:
@@ -310,18 +329,13 @@ def common_visibility(gallery, points, cache=None) -> Region:
 
     Zero-area intersections (shared boundary contacts only) come back empty,
     matching the canonical region form. `cache` maps viewpoints to their
-    visibility regions, so that a caller enumerating many tuples computes
-    each visibility polygon once. A :class:`ViewCache` also keeps the
-    intersection of every prefix of the last tuple but its last viewpoint:
-    a tuple that shares leading viewpoints with the last one starts from
-    their intersection, and one whose shared prefix is empty is empty with
-    no further work. The regions are folded left to right either way, so
-    the result does not depend on the cache.
+    visibility regions, and a :class:`ViewCache` also reuses the
+    intersections of the last tuple's prefixes; see `_fold`.
     """
-    head, last = _head_and_last(gallery, points, cache)
+    head, last = _fold(points, cache, lambda p: visibility_polygon(gallery, p), _intersect)
     if last is None:
         return head
-    return last if head is None else region_boolean("intersect", head, last)
+    return last if head is None else _intersect(head, last)
 
 
 def common_visibility_is_empty(gallery, points, cache=None) -> bool:
@@ -330,41 +344,10 @@ def common_visibility_is_empty(gallery, points, cache=None) -> bool:
     Reuses the same prefix intersections, and decides the last step with
     `regions_overlap` instead of building the last intersection.
     """
-    head, last = _head_and_last(gallery, points, cache)
+    head, last = _fold(points, cache, lambda p: visibility_polygon(gallery, p), _intersect)
     if last is None:
         return True
     return last.is_empty() if head is None else not regions_overlap(head, last)
-
-
-def _head_and_last(gallery, points, cache):
-    """(intersection of all viewpoints' regions but the last's, or None for
-    one viewpoint; the last viewpoint's region, or None when the first part
-    is already empty)."""
-    points = [pt(p) for p in points]
-    if not points:
-        raise ValueError("need at least one viewpoint")
-    cache = {} if cache is None else cache
-    chain = cache.prefix if isinstance(cache, ViewCache) else []
-
-    def view(p):
-        return _cached(cache, p, lambda q: visibility_polygon(gallery, q))
-
-    head_points = points[:-1]
-    shared = 0
-    while shared < min(len(chain), len(head_points)) and chain[shared][0] == head_points[shared]:
-        shared += 1
-    del chain[shared:]
-    for p in head_points[shared:]:
-        acc = chain[-1][1] if chain else None
-        if acc is None:
-            acc = view(p)
-        elif not acc.is_empty():
-            acc = region_boolean("intersect", acc, view(p))
-        chain.append((p, acc))
-    head = chain[-1][1] if chain else None
-    if head is not None and head.is_empty():
-        return head, None
-    return head, view(points[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +357,18 @@ def _head_and_last(gallery, points, cache):
 # convex polygons glued at single points. A closed convex piece meets a line
 # in a closed interval, so x sees y exactly when the pieces' intervals on the
 # line through x and y cover [x, y]. Every visibility set below comes from
-# that cover, and each is given as (indices of whole pieces, segments):
+# that cover, and each is a `_Cover` (indices of whole pieces, segments,
+# isolated points); a viewpoint's own set has no isolated points:
 #
 #   * skeletal: no whole pieces; on each gallery line through x, the covered
 #     run that contains x;
 #   * pinched: the components that contain x, and beyond them segments along
 #     the rays through the pinch points, since any sightline between two
 #     components passes through a pinch point.
+#
+# `_fold` folds these sets as it folds polygonal regions, prefix reuse
+# included; `_common_cover` cleans only the final meet, since cleaning at
+# each step can split segments differently.
 
 
 def _trace(piece, x, d, lo=None, hi=None):
@@ -482,33 +470,43 @@ def _clip(seg: Segment2, pieces, segs: List[Segment2], pts: List[Point2]) -> Non
             segs.append(Segment2(*sorted((_at(a, d, lo), _at(a, d, hi)))))
 
 
-def _fold(views, pieces):
-    """Intersect visibility sets given as (indices of whole pieces, segments).
+class _Cover(NamedTuple):
+    """A visibility set on the union of `pieces`: indices of whole pieces,
+    segments and isolated points."""
 
-    Returns (whole pieces, segments, isolated points) in canonical form: no
-    segment or point lies in a surviving whole piece, and no point lies on a
-    surviving segment.
-    """
-    full, segs = next(views)
-    full, segs, pts = set(full), list(segs), []
-    for vis_full, vis_segs in views:
-        seen = [pieces[i] for i in vis_full] + list(vis_segs)
-        whole = [pieces[i] for i in full]
-        new_segs: List[Segment2] = []
-        new_pts: List[Point2] = []
-        for s in segs:
-            _clip(s, seen, new_segs, new_pts)
-        for s in vis_segs:
-            _clip(s, whole, new_segs, new_pts)
-        new_pts += [p for p in pts if _covered(seen, p, p)]
-        full &= set(vis_full)
-        segs, pts = list(dict.fromkeys(new_segs)), list(dict.fromkeys(new_pts))
-        if not (full or segs or pts):
-            break
-    whole = [pieces[i] for i in full]
-    segs = [s for s in segs if not _covered(whole, s.a, s.b)]
-    pts = [p for p in pts if not _covered(whole + segs, p, p)]
-    return tuple(sorted(full)), tuple(segs), tuple(pts)
+    pieces: tuple
+    full: Tuple[int, ...]
+    segments: Tuple[Segment2, ...]
+    points: Tuple[Point2, ...] = ()
+
+    def is_empty(self) -> bool:
+        return not (self.full or self.segments or self.points)
+
+    def meet(self, vis: "_Cover") -> "_Cover":
+        """The meet with a viewpoint's set, as a new set, not cleaned."""
+        seen = [self.pieces[i] for i in vis.full] + list(vis.segments)
+        whole = [self.pieces[i] for i in self.full]
+        segs: List[Segment2] = []
+        pts: List[Point2] = []
+        for s in self.segments:
+            _clip(s, seen, segs, pts)
+        for s in vis.segments:
+            _clip(s, whole, segs, pts)
+        pts += [p for p in self.points if _covered(seen, p, p)]
+        full = tuple(i for i in self.full if i in vis.full)
+        return _Cover(self.pieces, full, tuple(dict.fromkeys(segs)), tuple(dict.fromkeys(pts)))
+
+
+def _common_cover(points, cache, view):
+    """(whole pieces, segments, isolated points) common to the viewpoints,
+    `view(p)` being p's `_Cover`, in canonical form: no segment or point
+    lies in a surviving whole piece, and no point on a surviving segment."""
+    head, last = _fold(points, cache, view, _Cover.meet)
+    common = last if head is None else head if last is None else head.meet(last)
+    whole = [common.pieces[i] for i in common.full]
+    segs = [s for s in common.segments if not _covered(whole, s.a, s.b)]
+    pts = [p for p in common.points if not _covered(whole + segs, p, p)]
+    return tuple(sorted(common.full)), tuple(segs), tuple(pts)
 
 
 def skeletal_visibility(skel: SkeletalGallery, x) -> Tuple[Segment2, ...]:
@@ -544,8 +542,7 @@ class SkeletalCommonVisibility(NamedTuple):
 def skeletal_common_visibility(skel: SkeletalGallery, points, cache=None) -> SkeletalCommonVisibility:
     """Exact common visibility of viewpoints on a skeletal gallery; `cache`
     maps viewpoints to their visibility sets."""
-    views = _views(points, lambda p: ((), skeletal_visibility(skel, p)), cache)
-    _, segments, lone = _fold(views, ())
+    _, segments, lone = _common_cover(points, cache, lambda p: _Cover((), (), skeletal_visibility(skel, p)))
     return SkeletalCommonVisibility(lone, segments)
 
 
@@ -591,5 +588,8 @@ class PinchedCommonVisibility:
 def pinched_common_visibility(gallery: PinchedGallery, points, cache=None) -> PinchedCommonVisibility:
     """Exact common visibility of viewpoints on a pinched gallery; `cache`
     maps viewpoints to their visibility sets."""
-    views = _views(points, lambda p: pinched_visibility(gallery, p), cache)
-    return PinchedCommonVisibility(*_fold(views, gallery.components), gallery)
+
+    def view(p):
+        return _Cover(gallery.components, *pinched_visibility(gallery, p))
+
+    return PinchedCommonVisibility(*_common_cover(points, cache, view), gallery)

@@ -179,6 +179,18 @@ def test_classic_empty_kernel_vacuous_with_certificate():
     assert len(r.violating_tuples[0]) == 3
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_classic_helly_triple_needs_three_viewpoints(seed):
+    # every point sees itself, and a Helly triple says nothing of pairs
+    single = check_classic(empty_kernel_gallery(seed), cfg=CheckConfig(k=1))
+    assert single.classification == "CONSISTENT_WITH_CLAIM"
+    assert single.coverage.fast_path is None
+    assert single.coverage.checked == single.coverage.total > 0
+    pairs = check_classic(empty_kernel_gallery(seed), cfg=CheckConfig(k=2))
+    assert pairs.coverage.fast_path is None
+    assert pairs.violating_tuples and all(len(tup) == 2 for tup in pairs.violating_tuples)
+
+
 def test_classic_donut_enumerates_and_finds_violations():
     r = check_classic(donut_gallery())
     assert r.classification == "VACUOUS"

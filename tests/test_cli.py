@@ -174,6 +174,14 @@ def test_check_k_below_the_theorem_is_no_violation(tmp_path):
     assert det["preconditions"] == [["tuple-size>=3", False]]
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_check_k_below_one_exits_2(k, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["check", "--generator", "star", "--budget", "1", "--k", k, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: k must be at least 1\n"
+    assert not out.exists()
+
+
 def test_check_zero_area_kernel_is_a_certified_failure(tmp_path):
     """The kernel of this valid gallery is the segment {2} x [1, 2], which
     holds no box: the check answers, it does not exit 2."""

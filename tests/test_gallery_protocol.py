@@ -8,10 +8,10 @@ import json
 
 import pytest
 
-from artgallery import docio
+from artgallery import docio, visibility
 from artgallery.checkers import CandidateSet, CheckConfig, check_colorful_general, check_quantitative
-from artgallery.gallery import Gallery, NotAreal, SkeletalGallery
-from artgallery.galleries import gen_fig1, gen_spider, gen_star
+from artgallery.gallery import Gallery, NotAreal, SkeletalGallery, ViewCache
+from artgallery.galleries import gen_claim22, gen_fig1, gen_spider, gen_star
 from artgallery.geom.polygon import PolygonWithHoles
 from artgallery.rational import fmt, rat
 from artgallery.visibility import (
@@ -46,6 +46,7 @@ GALLERIES = {
     "star": lambda: Gallery(gen_star(0, 12)),
     "fig1": gen_fig1,
     "spider": gen_spider,
+    "claim22": lambda: gen_claim22(3, (3, 3, 3), 0),
 }
 
 
@@ -56,23 +57,53 @@ def test_default_candidates_are_pinned(name):
     assert (len(c), hashlib.sha256(text.encode()).hexdigest()) == CANDIDATE_PINS[name]
 
 
-# Every kind honours the viewpoint cache, and a cached answer equals the
-# kind's uncached common visibility.
+# Every kind honours the viewpoint cache and a ViewCache's prefix chain, and
+# a cached answer equals the kind's uncached common visibility.
 UNCACHED = {
     "donut": common_visibility,
     "spider": skeletal_common_visibility,
     "fig1": pinched_common_visibility,
+    "claim22": skeletal_common_visibility,
 }
+
+
+def scan_orders(g):
+    """Triples of eight candidates in `combinations` order, and three
+    overlapping classes in `product` order, repeats dropped as the colorful
+    scan drops them."""
+    points = CandidateSet.default(g, seed=0, random_count=2).points[:8]
+    classes = (points[0:3], points[2:5], points[4:8])
+    return points, {
+        "combinations": list(itertools.combinations(points, 3)),
+        "product": [tuple(dict.fromkeys(tup)) for tup in itertools.product(*classes)],
+    }
 
 
 @pytest.mark.parametrize("name", sorted(UNCACHED))
 def test_cached_common_visibility_matches_uncached(name):
     g = GALLERIES[name]()
-    points = CandidateSet.default(g, seed=0, random_count=2).points[:8]
-    cache = {}
-    for tup in itertools.combinations(points, 3):
-        assert g.common_visibility(tup, cache) == UNCACHED[name](g, tup)
-    assert set(cache) == set(points)
+    points, orders = scan_orders(g)
+    for order, tuples in orders.items():
+        for cache in ({}, ViewCache()):
+            # the first tuple again, after the scan has moved the chain on
+            for tup in tuples + tuples[:1]:
+                assert g.common_visibility(tup, cache) == UNCACHED[name](g, tup), (order, type(cache).__name__, tup)
+            assert set(cache) == set(points)
+
+
+def test_prefix_chain_saves_skeletal_clips(monkeypatch):
+    g = GALLERIES["claim22"]()
+    tuples = scan_orders(g)[1]["product"]
+    calls = []
+    clip = visibility._clip
+    monkeypatch.setattr(visibility, "_clip", lambda *args: calls.append(args) or clip(*args))
+    clips = {}
+    for cache in ({}, ViewCache()):
+        calls.clear()
+        for tup in tuples:
+            g.common_visibility(tup, cache)
+        clips[type(cache)] = len(calls)
+    assert clips[ViewCache] < clips[dict]
 
 
 def test_every_kind_answers_is_empty():

@@ -4,10 +4,13 @@ import math
 import random
 from itertools import combinations
 
+from artgallery import inscribe
+from artgallery.galleries import gen_star
 from artgallery.geom.convex import ConvexPolygon, convex_hull
 from artgallery.geom.polygon import Region, point_in_region
 from artgallery.geom.primitives import pt
 from artgallery.inscribe import (
+    BOX_SCAN_SAMPLES,
     Box2,
     Disc,
     PolytopeNormBall,
@@ -22,6 +25,7 @@ from artgallery.inscribe import (
     max_inscribed_disc,
     mvie,
 )
+from artgallery.kernel import kernel_simple
 from artgallery.rational import rat
 
 
@@ -73,6 +77,21 @@ def test_contains_box_of_area():
     assert b.w * b.h >= rat(1, 2)
     assert contains_box(sq, b)
     assert contains_box_of_area(sq, rat(2)) is None
+
+
+def test_box_scan_tries_each_width_once(monkeypatch):
+    """A scan that finds no box erodes once per scan width and once per
+    midpoint of two consecutive widths, never the same width twice."""
+    widths = []
+    erode = inscribe.erode_convex_by_box
+
+    def counting(c, w, h):
+        widths.append(w)
+        return erode(c, w, h)
+
+    monkeypatch.setattr(inscribe, "erode_convex_by_box", counting)
+    assert contains_box_of_area(kernel_simple(gen_star(0, 12)), rat(1, 4)) is None
+    assert len(widths) == len(set(widths)) <= 2 * BOX_SCAN_SAMPLES - 1
 
 
 def test_contains_box_of_axis_sum():
