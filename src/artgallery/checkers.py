@@ -295,17 +295,19 @@ def check_classic(gallery, candidates: Optional[CandidateSet] = None,
         # empty kernel: Helly yields three edge half-planes with empty
         # intersection; visibility from an edge midpoint stays in the edge's
         # inner half-plane, so the three midpoints, and any k-tuple holding
-        # them, cannot see a common point
+        # them, cannot see a common point; the reported tuple is the triple
+        # and the first k - 3 other candidates
         poly = gallery.polygon
         combo = _helly_violating_edges(poly)
         if combo is not None:
             triple = tuple(_edge_midpoint(poly, i) for i in combo)
             if not gallery.common_visibility(triple).is_empty():
                 raise AssertionError("Helly certificate contradicts exact common visibility")
+            rest = itertools.islice((p for p in candidates.points if p not in triple), k - 3)
             cov = Coverage(1, _ncomb(len(candidates), k), fast_path="helly-edge-triple")
             return TheoremReport(
                 "classic", name, "violated", "fails", "VACUOUS",
-                violating_tuples=(triple,), coverage=cov, preconditions=preconditions,
+                violating_tuples=(triple + tuple(rest),), coverage=cov, preconditions=preconditions,
                 qualifiers=qualifiers, config=cfg,
             )
 
@@ -387,48 +389,35 @@ def check_colorful_plane(gallery, p1, p2, p3, cfg: Optional[CheckConfig] = None)
     CONSISTENT_WITH_CLAIM rather than as a violation.
     """
     cfg = cfg or CheckConfig(theorem="colorful-plane")
-    name = gallery.name or type(gallery).__name__
     if isinstance(gallery, Gallery) and not gallery.simply_connected:
         raise NotSimplyConnected("colorful-plane requires a simply connected gallery")
-
-    classes = []
-    for cls in (p1, p2, p3):
-        norm = tuple(pt(p) for p in cls)
-        if not norm:
-            raise ValueError("empty color class")
-        if norm not in classes:
-            classes.append(norm)
-    for cls in classes:
-        for p in cls:
-            if not gallery.contains(p):
-                raise ValueError(f"class point {p} is not in the gallery")
-    distinct = len(classes)
+    classes = list(dict.fromkeys(tuple(pt(p) for p in cls) for cls in (p1, p2, p3)))
     preconditions = (
         ("simply-connected", gallery.simply_connected),
-        ("three-distinct-classes", distinct == 3),
+        ("three-distinct-classes", len(classes) == 3),
     )
-
-    return _colorful_core(gallery, classes, cfg, name, "colorful-plane", preconditions)
+    return _colorful_core(gallery, classes, cfg, "colorful-plane", preconditions)
 
 
 def check_colorful_general(gallery, classes, cfg: Optional[CheckConfig] = None) -> TheoremReport:
     """Colorful check for any number of classes (m >= 2), any gallery kind."""
     cfg = cfg or CheckConfig(theorem="colorful-general")
-    name = gallery.name or type(gallery).__name__
     norm = [tuple(pt(p) for p in cls) for cls in classes]
     if len(norm) < 2:
         raise ValueError("need at least two classes")
-    for cls in norm:
-        if not cls:
-            raise ValueError("empty color class")
-        for p in cls:
-            if not gallery.contains(p):
-                raise ValueError(f"class point {p} is not in the gallery")
     preconditions = (("simply-connected", gallery.simply_connected),)
-    return _colorful_core(gallery, norm, cfg, name, "colorful-general", preconditions)
+    return _colorful_core(gallery, norm, cfg, "colorful-general", preconditions)
 
 
-def _colorful_core(gallery, classes, cfg, name, theorem, preconditions) -> TheoremReport:
+def _colorful_core(gallery, classes, cfg, theorem, preconditions) -> TheoremReport:
+    """The colorful scan over normalised classes, each first checked to be
+    nonempty and inside the gallery."""
+    if not all(classes):
+        raise ValueError("empty color class")
+    for p in itertools.chain(*classes):
+        if not gallery.contains(p):
+            raise ValueError(f"class point {p} is not in the gallery")
+    name = gallery.name or type(gallery).__name__
     cache = ViewCache()
     hyp, violating, _, cov = _scan(
         itertools.product(*classes), math.prod(len(cls) for cls in classes), cfg.cap,
@@ -461,8 +450,10 @@ def _witness_in_shape(shape, family, cfg):
     """(status, witness, qualifier): status in holds | fails | undetermined.
 
     The shape is a ConvexPolygon or a Region, and the searches take their
-    path from its type. "fails" is only returned when absence is certified
-    (exact area obstructions, or exact optima over convex shapes); searches
+    path from its type; for "region-area" it may also be a skeletal or
+    pinched `Cover`, of which only `area()` is read. "fails" is only
+    returned when absence is certified (exact area obstructions, or exact
+    optima over convex shapes); searches
     that simply fail to find a witness return "undetermined". Every witness
     is certified exactly, and exact quantities are compared with the
     threshold exactly. cfg.tolerance enters only two float comparisons: the
@@ -567,15 +558,11 @@ def _common_witness(gallery, tup, cfg, cache=None):
     if isinstance(common, Region):
         conv = _region_as_convex(common)
         return _witness_in_shape(common if conv is None else conv, cfg.family, cfg)
-    # pinched: whole components plus at most 1-dimensional pieces
+    # a Cover: whole pieces plus at most 1-dimensional ones
     if cfg.family == "region-area":
-        total = common.area()
-        if total >= rat(cfg.threshold):
-            return "holds", ("region-area", total), None
-        return "fails", None, None
+        return _witness_in_shape(common, cfg.family, cfg)
     for idx in common.full:
-        comp = common.gallery.components[idx]
-        status, witness, q = _witness_in_shape(comp, cfg.family, cfg)
+        status, witness, q = _witness_in_shape(common.pieces[idx], cfg.family, cfg)
         if status == "holds":
             return status, witness, q
     if not common.full:

@@ -11,7 +11,11 @@ Inside a report a shape is a witness, ``{"type": t, ...}``
 ``kernel -o``) it is ``{"format_version": 1, "kind": t, ...}`` with the same
 remaining keys (:func:`shape_file_document`); a region witness already wraps
 a complete ``{"format_version": 1, "kind": "region", ...}`` document, which is
-its file as it stands.
+its file as it stands. A skeletal or pinched common visibility is a
+`visibility.Cover`, written as "skeletal-visibility" (points, segments) when
+it has no pieces, else as "pinched-visibility" (the indices of its whole
+components, even when none are, then segments and points). A shape with no
+layout raises TypeError.
 
 Report files split into a "deterministic" section (same inputs and seed give
 identical bytes) and an optional "timing" section that carries wall-clock.
@@ -28,7 +32,7 @@ from artgallery.gallery import Gallery, PinchedGallery, SkeletalGallery, as_poly
 from artgallery.geom.primitives import Point2
 from artgallery.geom.polygon import PolygonWithHoles, Region
 from artgallery.geom.convex import ConvexPolygon
-from artgallery.visibility import PinchedCommonVisibility, SkeletalCommonVisibility
+from artgallery.visibility import Cover
 from artgallery import inscribe
 
 FORMAT_VERSION = 1
@@ -169,22 +173,18 @@ def shape_to_document(shape) -> dict:
         ]
         region = {"format_version": FORMAT_VERSION, "kind": "region", "components": components}
         return {"type": "region", "region": region}
-    if isinstance(shape, SkeletalCommonVisibility):
+    if isinstance(shape, Cover):
+        segments = [[_point(s.a), _point(s.b)] for s in shape.segments]
+        points = [_point(p) for p in shape.points]
+        if not shape.pieces:
+            return {"type": "skeletal-visibility", "points": points, "segments": segments}
         return {
-            "type": "skeletal-visibility",
-            "points": [_point(p) for p in shape.points],
-            "segments": [[_point(s.a), _point(s.b)] for s in shape.segments],
+            "type": "pinched-visibility", "components": list(shape.full),
+            "segments": segments, "points": points,
         }
     if isinstance(shape, tuple) and len(shape) == 2 and isinstance(shape[0], str):
         return {"type": "value", "label": shape[0], "value": fmt(shape[1])}
-    if isinstance(shape, PinchedCommonVisibility):
-        return {
-            "type": "pinched-visibility",
-            "components": list(shape.full),
-            "segments": [[_point(s.a), _point(s.b)] for s in shape.segments],
-            "points": [_point(p) for p in shape.points],
-        }
-    return {"type": "opaque", "repr": repr(shape)}
+    raise TypeError(f"no document layout for {type(shape).__name__}")
 
 
 def shape_file_document(shape) -> dict:

@@ -13,7 +13,10 @@ hold:
   * ``random_points(rng, count)``: up to ``count`` seeded points of the
     gallery, drawn with 2^-20-grid parameters;
   * ``common_visibility(points, cache=None)``: the exact common visibility
-    of finitely many viewpoints; every result answers ``is_empty()``.
+    of finitely many viewpoints: a polygonal gallery returns its 2-D part as
+    a ``Region``, a skeletal or pinched one a ``visibility.Cover`` (indices
+    of whole pieces, segments, isolated points; a skeletal one has no
+    pieces). Every result answers ``is_empty()`` and ``area()``.
     ``cache``, for every kind, maps each viewpoint to its visibility set, so
     that a caller judging many tuples computes each viewpoint's once; a
     :class:`ViewCache` also keeps the last tuple's prefix intersections,

@@ -15,7 +15,6 @@ from artgallery.gallery import PinchedGallery, SkeletalGallery
 from artgallery.geom.convex import ConvexPolygon
 from artgallery.geom.polygon import PolygonWithHoles, Region
 from artgallery.geom.primitives import Point2
-from artgallery.visibility import PinchedCommonVisibility
 
 _GALLERY_FILL = "#d9d9d9"
 _GALLERY_EDGE = "#333333"
@@ -111,17 +110,16 @@ def _line_element(canvas, a, b, color, width: int) -> str:
 
 def _shape_elements(canvas, shape, fill) -> List[str]:
     """Elements of a Region, PolygonWithHoles, ConvexPolygon or Point2, or of
-    a skeletal or pinched common visibility (whole components, segments and
-    isolated points)."""
+    a skeletal or pinched `Cover` (whole pieces, segments and isolated
+    points)."""
     if isinstance(shape, Point2):
         return [_point_element(canvas, shape, fill)]
     if isinstance(shape, (ConvexPolygon, PolygonWithHoles)):
         return [_polygon_element(canvas, shape, fill, _SHAPE_OPACITY)]
     if isinstance(shape, Region):
         return [_polygon_element(canvas, c, fill, _SHAPE_OPACITY) for c in shape.components]
-    full = shape.full if isinstance(shape, PinchedCommonVisibility) else ()
     return (
-        [_polygon_element(canvas, shape.gallery.components[i], fill, _SHAPE_OPACITY) for i in full]
+        [_polygon_element(canvas, shape.pieces[i], fill, _SHAPE_OPACITY) for i in shape.full]
         + [_line_element(canvas, s.a, s.b, fill, 3) for s in shape.segments]
         + [_point_element(canvas, p, fill) for p in shape.points]
     )

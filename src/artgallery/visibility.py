@@ -28,7 +28,6 @@ images, and a region vertex is one integer line meet, normalised once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
 from artgallery.rational import Q, rat
@@ -357,8 +356,9 @@ def common_visibility_is_empty(gallery, points, cache=None) -> bool:
 # convex polygons glued at single points. A closed convex piece meets a line
 # in a closed interval, so x sees y exactly when the pieces' intervals on the
 # line through x and y cover [x, y]. Every visibility set below comes from
-# that cover, and each is a `_Cover` (indices of whole pieces, segments,
-# isolated points); a viewpoint's own set has no isolated points:
+# that cover, and each is a `Cover` (the pieces, indices of whole pieces,
+# segments, isolated points); a viewpoint's own set has no isolated points,
+# and a common visibility is returned as the `Cover` it folds to:
 #
 #   * skeletal: no whole pieces; on each gallery line through x, the covered
 #     run that contains x;
@@ -470,9 +470,9 @@ def _clip(seg: Segment2, pieces, segs: List[Segment2], pts: List[Point2]) -> Non
             segs.append(Segment2(*sorted((_at(a, d, lo), _at(a, d, hi)))))
 
 
-class _Cover(NamedTuple):
+class Cover(NamedTuple):
     """A visibility set on the union of `pieces`: indices of whole pieces,
-    segments and isolated points."""
+    segments and isolated points. A skeletal set has no pieces."""
 
     pieces: tuple
     full: Tuple[int, ...]
@@ -482,7 +482,11 @@ class _Cover(NamedTuple):
     def is_empty(self) -> bool:
         return not (self.full or self.segments or self.points)
 
-    def meet(self, vis: "_Cover") -> "_Cover":
+    def area(self):
+        """Exact area: that of the whole pieces."""
+        return sum((self.pieces[i].area() for i in self.full), rat(0))
+
+    def meet(self, vis: "Cover") -> "Cover":
         """The meet with a viewpoint's set, as a new set, not cleaned."""
         seen = [self.pieces[i] for i in vis.full] + list(vis.segments)
         whole = [self.pieces[i] for i in self.full]
@@ -494,19 +498,19 @@ class _Cover(NamedTuple):
             _clip(s, whole, segs, pts)
         pts += [p for p in self.points if _covered(seen, p, p)]
         full = tuple(i for i in self.full if i in vis.full)
-        return _Cover(self.pieces, full, tuple(dict.fromkeys(segs)), tuple(dict.fromkeys(pts)))
+        return Cover(self.pieces, full, tuple(dict.fromkeys(segs)), tuple(dict.fromkeys(pts)))
 
 
-def _common_cover(points, cache, view):
-    """(whole pieces, segments, isolated points) common to the viewpoints,
-    `view(p)` being p's `_Cover`, in canonical form: no segment or point
-    lies in a surviving whole piece, and no point on a surviving segment."""
-    head, last = _fold(points, cache, view, _Cover.meet)
+def _common_cover(points, cache, view) -> Cover:
+    """The `Cover` common to the viewpoints, `view(p)` being p's, in
+    canonical form: no segment or point lies in a surviving whole piece, and
+    no point on a surviving segment."""
+    head, last = _fold(points, cache, view, Cover.meet)
     common = last if head is None else head if last is None else head.meet(last)
     whole = [common.pieces[i] for i in common.full]
     segs = [s for s in common.segments if not _covered(whole, s.a, s.b)]
     pts = [p for p in common.points if not _covered(whole + segs, p, p)]
-    return tuple(sorted(common.full)), tuple(segs), tuple(pts)
+    return Cover(common.pieces, tuple(sorted(common.full)), tuple(segs), tuple(pts))
 
 
 def skeletal_visibility(skel: SkeletalGallery, x) -> Tuple[Segment2, ...]:
@@ -528,22 +532,10 @@ def skeletal_visibility(skel: SkeletalGallery, x) -> Tuple[Segment2, ...]:
     return tuple(runs)
 
 
-class SkeletalCommonVisibility(NamedTuple):
-    """Common visibility on a skeletal gallery: the isolated common points
-    and the common subsegments, which together exhaust it exactly."""
-
-    points: Tuple[Point2, ...]
-    segments: Tuple[Segment2, ...]
-
-    def is_empty(self) -> bool:
-        return not self.points and not self.segments
-
-
-def skeletal_common_visibility(skel: SkeletalGallery, points, cache=None) -> SkeletalCommonVisibility:
-    """Exact common visibility of viewpoints on a skeletal gallery; `cache`
-    maps viewpoints to their visibility sets."""
-    _, segments, lone = _common_cover(points, cache, lambda p: _Cover((), (), skeletal_visibility(skel, p)))
-    return SkeletalCommonVisibility(lone, segments)
+def skeletal_common_visibility(skel: SkeletalGallery, points, cache=None) -> Cover:
+    """Exact common visibility of viewpoints on a skeletal gallery, as a
+    `Cover` with no pieces; `cache` maps viewpoints to their visibility sets."""
+    return _common_cover(points, cache, lambda p: Cover((), (), skeletal_visibility(skel, p)))
 
 
 def pinched_visibility(gallery: PinchedGallery, x):
@@ -569,27 +561,11 @@ def pinched_visibility(gallery: PinchedGallery, x):
     return full, tuple(segments)
 
 
-@dataclass(frozen=True)
-class PinchedCommonVisibility:
-    """Intersection of pinched visibility sets: components, segments, points."""
-
-    full: Tuple[int, ...]
-    segments: Tuple[Segment2, ...]
-    points: Tuple[Point2, ...]
-    gallery: PinchedGallery
-
-    def is_empty(self) -> bool:
-        return not self.full and not self.segments and not self.points
-
-    def area(self):
-        return sum((self.gallery.components[i].area() for i in self.full), rat(0))
-
-
-def pinched_common_visibility(gallery: PinchedGallery, points, cache=None) -> PinchedCommonVisibility:
-    """Exact common visibility of viewpoints on a pinched gallery; `cache`
-    maps viewpoints to their visibility sets."""
+def pinched_common_visibility(gallery: PinchedGallery, points, cache=None) -> Cover:
+    """Exact common visibility of viewpoints on a pinched gallery, a `Cover`
+    of its components; `cache` maps viewpoints to their visibility sets."""
 
     def view(p):
-        return _Cover(gallery.components, *pinched_visibility(gallery, p))
+        return Cover(gallery.components, *pinched_visibility(gallery, p))
 
-    return PinchedCommonVisibility(*_common_cover(points, cache, view), gallery)
+    return _common_cover(points, cache, view)

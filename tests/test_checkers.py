@@ -5,6 +5,8 @@ conclusions and emptiness facts are exact. A report may only claim
 THEOREM_VIOLATION_CANDIDATE when the conclusion failure is certified.
 """
 
+import math
+
 import pytest
 
 from artgallery.checkers import (
@@ -189,6 +191,17 @@ def test_classic_helly_triple_needs_three_viewpoints(seed):
     pairs = check_classic(empty_kernel_gallery(seed), cfg=CheckConfig(k=2))
     assert pairs.coverage.fast_path is None
     assert pairs.violating_tuples and all(len(tup) == 2 for tup in pairs.violating_tuples)
+    # at k = 4 the triple is padded with other candidates: any tuple that
+    # holds a failing triple fails, and the tuple has the size checked
+    g = empty_kernel_gallery(seed)
+    (triple,) = check_classic(g, cfg=CheckConfig(k=3)).violating_tuples
+    fours = check_classic(g, cfg=CheckConfig(k=4))
+    (tup,) = fours.violating_tuples
+    assert len(tup) == 4 and tup[:3] == triple
+    assert g.common_visibility(tup).is_empty()
+    total = math.comb(len(CandidateSet.default(g, seed=0, random_count=20)), 4)
+    cov = fours.coverage
+    assert (cov.checked, cov.total, cov.fast_path) == (1, total, "helly-edge-triple")
 
 
 def test_classic_donut_enumerates_and_finds_violations():
@@ -277,6 +290,25 @@ def test_colorful_general_claim22_exhaustive():
     assert r.hypothesis_verdict == "holds-on-candidates"
     assert r.coverage.checked == 9
     assert r.coverage.total == 9
+
+
+# Both colorful checkers reject an empty class and a class point outside the
+# gallery before they scan.
+COLORFUL = {
+    "plane": lambda g, classes: check_colorful_plane(g, *classes, None),
+    "general": lambda g, classes: check_colorful_general(g, classes, None),
+}
+
+
+@pytest.mark.parametrize("checker", sorted(COLORFUL))
+@pytest.mark.parametrize("bad, message", [
+    ((), "^empty color class$"),
+    ((pt((7, 7)),), "^class point .* is not in the gallery$"),
+], ids=["empty-class", "outside-point"])
+def test_colorful_checkers_validate_classes(checker, bad, message):
+    square = Gallery(PolygonWithHoles([(0, 0), (6, 0), (6, 6), (0, 6)]), name="square")
+    with pytest.raises(ValueError, match=message):
+        COLORFUL[checker](square, ((pt((0, 0)),), (pt((6, 0)),), bad))
 
 
 # -- quantitative checker -----------------------------------------------------

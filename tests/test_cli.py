@@ -124,6 +124,20 @@ def test_skeletal_gallery_kernel_commands_exit_2(argv, tmp_path, capsys):
     assert "kernel is defined for areal galleries only" in capsys.readouterr().err
 
 
+# A polygonal gallery document does not check its classes; the colorful
+# checker does, and a class point outside the gallery exits 2.
+def test_colorful_class_point_outside_a_polygonal_gallery_exits_2(tmp_path, capsys):
+    square = Gallery(
+        PolygonWithHoles([(0, 0), (2, 0), (2, 2), (0, 2)]),
+        classes={"red": [(0, 0)], "blue": [(3, 3)]}, name="square",
+    )
+    path = tmp_path / "square.json"
+    path.write_text(docio.dumps(docio.gallery_to_document(square)), encoding="utf-8")
+    argv = ["check", str(path), "--theorem", "colorful-general", "-o", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: class point Point2(3, 3) is not in the gallery\n"
+
+
 # Malformed gallery documents exit 2 with an "error:" line, never 1 with
 # "internal error".
 TRIANGLE = [["0", "0"], ["1", "0"], ["0", "1"]]

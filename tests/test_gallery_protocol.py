@@ -108,8 +108,8 @@ def test_prefix_chain_saves_skeletal_clips(monkeypatch):
 
 def test_every_kind_answers_is_empty():
     sk = plus()
-    lone, segs = sk.common_visibility([(-1, 0), (1, 0)])
-    assert lone == () and len(segs) == 1
+    line = sk.common_visibility([(-1, 0), (1, 0)])
+    assert line.points == () and len(line.segments) == 1
     corner = sk.common_visibility([(-1, 0), (0, 1)])
     assert corner.points == ((0, 0),) and corner.segments == ()
     assert not corner.is_empty()

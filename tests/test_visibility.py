@@ -120,9 +120,9 @@ def test_skeletal_visibility_from_arm():
 
 def test_skeletal_common_visibility():
     sk = t_skeleton()
-    lone, segs = skeletal_common_visibility(sk, [pt((0, 0)), pt((2, 0))])
-    assert lone == ()
-    assert segs == (Segment2(pt((0, 0)), pt((2, 0))),)
+    common = skeletal_common_visibility(sk, [pt((0, 0)), pt((2, 0))])
+    assert common.points == ()
+    assert common.segments == (Segment2(pt((0, 0)), pt((2, 0))),)
 
 
 def test_pinched_pairs():
