@@ -8,6 +8,12 @@ hole-free polygons, and every certified witness. Numeric searches (inscribed
 discs and ellipses, box scans) can fail to find a witness without proving
 absence; those outcomes surface as "undetermined" with a qualifier, never as
 a silent "fails".
+
+The classic and quantitative checks share one skeleton, `_check_tuples`: a
+theorem is a judge of tuples plus a kernel conclusion. The classic judge
+asks whether a tuple sees a common point, the quantitative one whether the
+tuple's common visibility holds the witness; each conclusion asks the same
+of the kernel. Every report is built by `_report`.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Tuple
 
 from artgallery.rational import rat, rationalize
-from artgallery.gallery import Gallery, ViewCache
+from artgallery.gallery import Gallery, ViewCache, _midpoint
 from artgallery.geom.primitives import Point2, meet, orient, pt
 from artgallery.geom.polygon import PolygonWithHoles, Region, region_bbox
 from artgallery.geom.convex import ConvexPolygon
@@ -204,6 +210,15 @@ def _classify(hyp: str, concl: str, preconditions_met: bool, certified_failure: 
     return "THEOREM_VIOLATION_CANDIDATE"
 
 
+def _report(theorem, gallery, cfg, hyp, concl, preconditions, certified=True, **fields):
+    """The report of a check, classified from its verdicts and preconditions."""
+    classification = _classify(hyp, concl, all(ok for _, ok in preconditions), certified)
+    return TheoremReport(
+        theorem, gallery.name or type(gallery).__name__, hyp, concl, classification,
+        preconditions=preconditions, config=cfg, **fields,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Kernels
 
@@ -257,41 +272,52 @@ def _helly_violating_edges(poly: PolygonWithHoles) -> Optional[Tuple[int, int, i
     return None
 
 
-def _edge_midpoint(poly: PolygonWithHoles, i: int) -> Point2:
-    vs = poly.outer.vertices
-    a, b = vs[i], vs[(i + 1) % len(vs)]
-    return Point2((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-
-
 # ---------------------------------------------------------------------------
-# Classic checker (Thm: local (d+1)-visibility implies a global guard)
+# Tuple theorems: the shared skeleton, then the classic checker (Thm: local
+# (d+1)-visibility implies a global guard)
+
+
+def _candidates(gallery, candidates: Optional[CandidateSet], cfg: CheckConfig) -> CandidateSet:
+    if candidates is None:
+        return CandidateSet.default(gallery, seed=cfg.seed, random_count=cfg.random_candidates)
+    return candidates
+
+
+def _check_tuples(theorem, gallery, candidates, cfg, k, concl, certified, witnesses, qualifiers,
+                  judge):
+    """`judge` over the candidate k-tuples against the kernel conclusion
+    `concl`. A conclusion that holds settles every tuple, since the kernel
+    lies in each tuple's common visibility; else the tuples are scanned."""
+    total = math.comb(len(candidates), k)
+    preconditions = _tuple_size_preconditions(cfg)
+    if concl == "holds":
+        return _report(
+            theorem, gallery, cfg, "holds-on-candidates", concl, preconditions,
+            witnesses=witnesses, coverage=Coverage(0, total, fast_path="kernel-superset"),
+            qualifiers=tuple(dict.fromkeys(qualifiers)),
+        )
+    hyp, violating, scan_qualifiers, cov = _scan(
+        itertools.combinations(candidates.points, k), total, cfg.cap, judge
+    )
+    return _report(
+        theorem, gallery, cfg, hyp, concl, preconditions, certified,
+        violating_tuples=violating, witnesses=witnesses, coverage=cov,
+        qualifiers=tuple(dict.fromkeys(scan_qualifiers + qualifiers)),
+    )
 
 
 def check_classic(gallery, candidates: Optional[CandidateSet] = None,
                   cfg: Optional[CheckConfig] = None) -> TheoremReport:
     cfg = cfg or CheckConfig(theorem="classic")
     k = cfg.tuple_size()
-    preconditions = _tuple_size_preconditions(cfg)
-    name = gallery.name or type(gallery).__name__
-    if candidates is None:
-        candidates = CandidateSet.default(
-            gallery, seed=cfg.seed, random_count=cfg.random_candidates
-        )
+    candidates = _candidates(gallery, candidates, cfg)
 
     concl, witness, certified, kq = kernel_status(gallery)
-    qualifiers = (kq,) if kq else ()
+    qualifiers = [kq] if kq else []
     witnesses = (("kernel", witness),) if witness is not None else ()
 
-    if concl == "holds" and certified:
-        # every candidate tuple's common visibility contains the kernel
-        cov = Coverage(0, _ncomb(len(candidates), k), fast_path="kernel-superset")
-        return TheoremReport(
-            "classic", name, "holds-on-candidates", "holds", "CONSISTENT",
-            witnesses=witnesses, coverage=cov, preconditions=preconditions,
-            qualifiers=qualifiers, config=cfg,
-        )
-
-    if k >= 3 and isinstance(gallery, Gallery) and gallery.simply_connected:
+    if (concl == "fails" and 3 <= k <= len(candidates)
+            and isinstance(gallery, Gallery) and gallery.simply_connected):
         # empty kernel: Helly yields three edge half-planes with empty
         # intersection; visibility from an edge midpoint stays in the edge's
         # inner half-plane, so the three midpoints, and any k-tuple holding
@@ -300,34 +326,24 @@ def check_classic(gallery, candidates: Optional[CandidateSet] = None,
         poly = gallery.polygon
         combo = _helly_violating_edges(poly)
         if combo is not None:
-            triple = tuple(_edge_midpoint(poly, i) for i in combo)
+            edges = list(poly.outer.edges())
+            triple = tuple(_midpoint(*edges[i]) for i in combo)
             if not gallery.common_visibility(triple).is_empty():
                 raise AssertionError("Helly certificate contradicts exact common visibility")
             rest = itertools.islice((p for p in candidates.points if p not in triple), k - 3)
-            cov = Coverage(1, _ncomb(len(candidates), k), fast_path="helly-edge-triple")
-            return TheoremReport(
-                "classic", name, "violated", "fails", "VACUOUS",
-                violating_tuples=(triple + tuple(rest),), coverage=cov, preconditions=preconditions,
-                qualifiers=qualifiers, config=cfg,
+            cov = Coverage(1, math.comb(len(candidates), k), fast_path="helly-edge-triple")
+            return _report(
+                "classic", gallery, cfg, "violated", "fails", _tuple_size_preconditions(cfg),
+                violating_tuples=(triple + tuple(rest),), coverage=cov,
+                qualifiers=tuple(qualifiers),
             )
 
     # general path: enumerate candidate tuples up to the cap
     cache = ViewCache()
-    hyp, violating, _, cov = _scan(
-        itertools.combinations(candidates.points, k), _ncomb(len(candidates), k), cfg.cap,
+    return _check_tuples(
+        "classic", gallery, candidates, cfg, k, concl, certified, witnesses, qualifiers,
         lambda tup: _common_status(gallery, tup, cache),
     )
-    pre_met = all(ok for _, ok in preconditions)
-    classification = _classify(hyp, concl, pre_met, certified)
-    return TheoremReport(
-        "classic", name, hyp, concl, classification,
-        violating_tuples=violating, witnesses=witnesses, coverage=cov,
-        preconditions=preconditions, qualifiers=qualifiers, config=cfg,
-    )
-
-
-def _ncomb(n: int, k: int) -> int:
-    return math.comb(n, k) if n >= k else 0
 
 
 def _common_status(gallery, tup, cache):
@@ -341,7 +357,8 @@ def _scan(tuples, total, cap, judge):
     `judge(tup)` returns (status, qualifier), status being "holds", "fails"
     or "undetermined". Returns the hypothesis verdict, the failing tuples,
     the distinct qualifiers (plus a tally of undetermined tuples) and the
-    coverage.
+    coverage. A scan with no tuple to judge leaves the hypothesis
+    undetermined ("no-candidate-tuples"): it holds on no evidence.
     """
     checked = undetermined = 0
     violating: List[Tuple[Point2, ...]] = []
@@ -363,10 +380,12 @@ def _scan(tuples, total, cap, judge):
             undetermined += 1
     if violating:
         hyp = "violated"
-    elif truncated or undetermined:
+    elif truncated or undetermined or not checked:
         hyp = "undetermined"
         if undetermined:
             qualifiers.append(f"{undetermined} tuples undetermined at search resolution")
+        elif not truncated:
+            qualifiers.append("no-candidate-tuples")
     else:
         hyp = "holds-on-candidates"
     return hyp, tuple(violating), qualifiers, Coverage(checked, total, truncated=truncated)
@@ -417,28 +436,22 @@ def _colorful_core(gallery, classes, cfg, theorem, preconditions) -> TheoremRepo
     for p in itertools.chain(*classes):
         if not gallery.contains(p):
             raise ValueError(f"class point {p} is not in the gallery")
-    name = gallery.name or type(gallery).__name__
     cache = ViewCache()
     hyp, violating, _, cov = _scan(
         itertools.product(*classes), math.prod(len(cls) for cls in classes), cfg.cap,
         lambda tup: _common_status(gallery, tuple(dict.fromkeys(tup)), cache),
     )
 
-    concl = "fails"
-    witnesses: List[Tuple[str, object]] = []
+    concl, witnesses = "fails", ()
     for i, cls in enumerate(classes):
         common = gallery.common_visibility(cls, cache)
         if not common.is_empty():
-            concl = "holds"
-            witnesses.append((f"class-{i + 1}-common-visibility", common))
+            concl, witnesses = "holds", ((f"class-{i + 1}-common-visibility", common),)
             break
 
-    pre_met = all(ok for _, ok in preconditions)
-    classification = _classify(hyp, concl, pre_met, True)
-    return TheoremReport(
-        theorem, name, hyp, concl, classification,
-        violating_tuples=violating, witnesses=tuple(witnesses), coverage=cov,
-        preconditions=preconditions, config=cfg,
+    return _report(
+        theorem, gallery, cfg, hyp, concl, preconditions,
+        violating_tuples=violating, witnesses=witnesses, coverage=cov,
     )
 
 
@@ -588,61 +601,27 @@ def check_quantitative(gallery, candidates: Optional[CandidateSet] = None,
         raise ValueError("check_quantitative needs cfg.threshold")
     if rat(cfg.threshold) <= 0:
         raise ValueError("threshold must be positive")
-    name = gallery.name or type(gallery).__name__
     k = cfg.tuple_size()
-    preconditions = _tuple_size_preconditions(cfg)
-    if candidates is None:
-        candidates = CandidateSet.default(
-            gallery, seed=cfg.seed, random_count=cfg.random_candidates
-        )
+    candidates = _candidates(gallery, candidates, cfg)
 
-    total = _ncomb(len(candidates), k)
-    theorem = cfg.theorem if cfg.theorem != "classic" else cfg.family
-
-    # Conclusion first: the kernel sits inside the common visibility of any
-    # tuple, so a kernel witness settles the hypothesis for every tuple at
-    # once and the enumeration can be skipped entirely.
-    concl_kernel, kern, _, kq = kernel_status(gallery)
-    kernel_quals: List[str] = [kq] if kq else []
-    witnesses: List[Tuple[str, object]] = []
-    certified_failure = True
-    if concl_kernel == "fails" or isinstance(kern, Point2):
-        # no kernel at all, or a single point: nothing of positive size fits
+    # the conclusion: a witness in the kernel; a single point holds none
+    concl, kern, _, kq = kernel_status(gallery)
+    witness = wq = None
+    if isinstance(kern, Point2):
         concl = "fails"
-    else:
-        status, witness, q = _witness_in_shape(kern, cfg.family, cfg)
-        if q:
-            kernel_quals.append(q)
-        concl = status
-        if status == "holds":
-            witnesses.append((f"kernel-{cfg.family}", witness))
-        elif status == "fails":
-            certified_failure = q is None
-
-    if concl == "holds":
-        cov = Coverage(0, total, fast_path="kernel-superset")
-        return TheoremReport(
-            theorem, name, "holds-on-candidates", "holds", "CONSISTENT",
-            witnesses=tuple(witnesses), coverage=cov, preconditions=preconditions,
-            qualifiers=tuple(dict.fromkeys(kernel_quals)), config=cfg,
-        )
-
+    elif concl == "holds":
+        concl, witness, wq = _witness_in_shape(kern, cfg.family, cfg)
+    witnesses = ((f"kernel-{cfg.family}", witness),) if concl == "holds" else ()
     cache = ViewCache()
 
     def judge(tup):
         status, _, q = _common_witness(gallery, tup, cfg, cache)
         return status, q
 
-    hyp, violating, qualifiers, cov = _scan(
-        itertools.combinations(candidates.points, k), total, cfg.cap, judge
-    )
-    pre_met = all(ok for _, ok in preconditions)
-    classification = _classify(hyp, concl, pre_met, certified_failure)
-    return TheoremReport(
-        theorem, name, hyp, concl, classification,
-        violating_tuples=violating, witnesses=tuple(witnesses), coverage=cov,
-        preconditions=preconditions,
-        qualifiers=tuple(dict.fromkeys(qualifiers + kernel_quals)), config=cfg,
+    theorem = cfg.theorem if cfg.theorem != "classic" else cfg.family
+    return _check_tuples(
+        theorem, gallery, candidates, cfg, k, concl, wq is None, witnesses,
+        [q for q in (kq, wq) if q], judge,
     )
 
 

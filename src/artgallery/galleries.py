@@ -285,34 +285,30 @@ def cone_halfplanes(apex, disc: ConvexPolygon) -> Tuple[HalfPlane, HalfPlane]:
     return planes[0], planes[1]
 
 
-def _apex(direction, M) -> Point2:
-    if isinstance(direction, (int, float)):
-        ux, uy = math.cos(direction), math.sin(direction)
-    else:
-        ux, uy = float(direction[0]), float(direction[1])
-        norm = math.hypot(ux, uy)
-        ux, uy = ux / norm, uy / norm
-    return Point2(rationalize(float(M) * ux), rationalize(float(M) * uy))
+def _apex(angle) -> Point2:
+    """The spike tip at radius M = SPIKE_M in the direction `angle`."""
+    M = float(SPIKE_M)
+    return Point2(rationalize(M * math.cos(angle)), rationalize(M * math.sin(angle)))
 
 
-def f_volume(dirs, M=10, Mp=2, disc_poly_verts: int = 720):
-    """Exact area of (M'-disc polygon) ∩ (∩ cones from the apexes M*v).
+def f_volume(angles, disc_poly_verts: int = 720):
+    """Exact area of (M'-disc polygon) ∩ (∩ cones from the apexes M*v), with
+    M = SPIKE_M and M' = SPIKE_MP.
 
-    dirs may be angles or direction vectors. The value is always > 1: the
-    area-1 disc sits strictly inside every cone and inside the M'-disc.
+    The value is always > 1: the area-1 disc sits strictly inside every cone
+    and inside the M'-disc.
     """
-    if float(Mp) >= float(M):
-        raise ValueError("need M' < M")
     bprime = disc_polygon(disc_poly_verts, area=1)
-    mdisc = disc_polygon(disc_poly_verts, radius=Mp)
+    mdisc = disc_polygon(disc_poly_verts, radius=SPIKE_MP)
     planes = []
-    for v in dirs:
-        planes.extend(cone_halfplanes(_apex(v, M), bprime))
+    for a in angles:
+        planes.extend(cone_halfplanes(_apex(a), bprime))
     return clip_convex(mdisc.vertices, planes).area()
 
 
-def _f_float(angles, M, cos_sin, r_mp) -> float:
+def _f_float(angles, cos_sin) -> float:
     """Float estimate of f_volume on true circles (search objective only)."""
+    M, r_mp = float(SPIKE_M), float(SPIKE_MP)
     ring = [(r_mp * c, r_mp * s) for c, s in cos_sin]
     r_b = 1.0 / math.sqrt(math.pi)
     for th in angles:
@@ -359,13 +355,11 @@ class MEstimate:
 
 def estimate_m(
     n: int,
-    M=10,
-    Mp=2,
     budget: int = 24,
     seed: int = 0,
     disc_poly_verts: int = 720,
 ) -> MEstimate:
-    """Numerically minimize f over n apex directions.
+    """Numerically minimize f over n apex directions (M = SPIKE_M, M' = SPIKE_MP).
 
     Returns an exact f evaluation at the best found directions; this is an
     upper bound on the true minimum m (global optimality is not certified).
@@ -375,10 +369,9 @@ def estimate_m(
     cos_sin = [
         (math.cos(2.0 * math.pi * k / 128), math.sin(2.0 * math.pi * k / 128)) for k in range(128)
     ]
-    Mf, Mpf = float(M), float(Mp)
 
     def obj(angles):
-        return _f_float(angles, Mf, cos_sin, Mpf)
+        return _f_float(angles, cos_sin)
 
     evals = 0
     best_angles = tuple(2.0 * math.pi * k / n for k in range(n))
@@ -413,7 +406,7 @@ def estimate_m(
                     step *= 0.5
             if val < best_val:
                 best_val, best_angles = val, tuple(angles)
-    exact = f_volume(best_angles, M, Mp, disc_poly_verts)
+    exact = f_volume(best_angles, disc_poly_verts)
     return MEstimate(exact, tuple(best_angles), evals)
 
 
@@ -486,8 +479,8 @@ def _min_area(rings):
     return min(ConvexPolygon([from_homogeneous(v) for v in ring]).area() for _, ring in kept)
 
 
-def _cone_intersection(planes, Mp) -> ConvexPolygon:
-    b = rat(Mp) * 2
+def _cone_intersection(planes) -> ConvexPolygon:
+    b = rat(SPIKE_MP) * 2
     seed = (Point2(-b, -b), Point2(b, -b), Point2(b, b), Point2(-b, b))
     return clip_convex(seed, planes)
 
@@ -594,11 +587,10 @@ def gen_spiked(
     clip rings (`_min_area`) decides which areas need computing exactly;
     m is one of them.
     """
-    M, Mp = SPIKE_M, SPIKE_MP
     bprime = disc_polygon(disc_poly_verts, area=1)
-    mdisc = disc_polygon(disc_poly_verts, radius=Mp)
+    mdisc = disc_polygon(disc_poly_verts, radius=SPIKE_MP)
 
-    est = estimate_m(n, M, Mp, budget=budget, seed=seed, disc_poly_verts=disc_poly_verts)
+    est = estimate_m(n, budget=budget, seed=seed, disc_poly_verts=disc_poly_verts)
     m_val = est.value
 
     # Spike directions: smallest equally spaced count with a small-enough
@@ -613,9 +605,9 @@ def gen_spiked(
 
     for count in range(max(3, n), MAX_SPIKES + 1):
         angles = spike_angles(count)
-        apexes = [_apex(a, M) for a in angles]
+        apexes = [_apex(a) for a in angles]
         per_apex = [cone_halfplanes(apex, bprime) for apex in apexes]
-        core = _cone_intersection([h for pair in per_apex for h in pair], Mp)
+        core = _cone_intersection([h for pair in per_apex for h in pair])
         core_area = core.area()  # 0 for an empty or degenerate core
         if core_area == 0:
             raise RuntimeError("cone intersection degenerated; M'/M too tight")
@@ -650,8 +642,8 @@ def gen_spiked(
     )
     params = SpikedGalleryParams(
         n=n,
-        M=float(M),
-        Mp=float(Mp),
+        M=float(SPIKE_M),
+        Mp=float(SPIKE_MP),
         disc_poly_verts=disc_poly_verts,
         m=m_used,
         eps=eps,

@@ -25,6 +25,7 @@ from artgallery.checkers import (
 from artgallery.checkers import _common_witness, _witness_in_shape
 from artgallery.gallery import Gallery, PinchedGallery
 from artgallery.galleries import gen_claim22, gen_empty_kernel, gen_fig1, gen_spider, gen_star
+from artgallery.galleries import gen_simple
 from artgallery.geom.convex import ConvexPolygon, HalfPlane
 from artgallery.geom.polygon import PolygonWithHoles
 from artgallery.geom.primitives import pt
@@ -238,6 +239,32 @@ def test_quantitative_tuple_size_below_the_theorem_is_no_violation():
     r = check_quantitative(g, cand, cfg)
     assert r.classification == "CONSISTENT_WITH_CLAIM"
     assert r.preconditions == (("tuple-size>=4", False),)
+
+
+def test_fewer_candidates_than_k_is_undetermined():
+    # with no tuple judged the hypothesis has no evidence either way, so a
+    # failing kernel conclusion is no violation candidate
+    g = donut_gallery()
+    two = CandidateSet.from_points(g, [(0, 0), (6, 6)])
+    disc = CheckConfig(family="disc", threshold=rat("1/4"))
+    for r in (check_classic(g, two), check_quantitative(g, two, disc)):
+        assert (r.hypothesis_verdict, r.conclusion_verdict) == ("undetermined", "fails")
+        assert r.classification == "UNDETERMINED"
+        assert r.qualifiers[0] == "no-candidate-tuples"
+        assert (r.coverage.checked, r.coverage.total, r.coverage.truncated) == (0, 0, False)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_classic_helly_triple_needs_k_candidates(k):
+    # the Helly triple is padded from the candidates, so with fewer than k
+    # of them there is no k-tuple to report and nothing is judged
+    g = Gallery(gen_simple(1, 12), name="simple-1")
+    one = CandidateSet.from_points(g, g.polygon.outer.vertices[:1])
+    r = check_classic(g, one, CheckConfig(k=k))
+    assert r.coverage.fast_path is None
+    assert (r.coverage.checked, r.coverage.total) == (0, 0)
+    assert r.violating_tuples == ()
+    assert r.classification == "UNDETERMINED"
 
 
 def test_classic_rejects_skeletal():

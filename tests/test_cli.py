@@ -188,6 +188,23 @@ def test_check_k_below_the_theorem_is_no_violation(tmp_path):
     assert det["preconditions"] == [["tuple-size>=3", False]]
 
 
+@pytest.mark.parametrize("theorem", [[], ["--theorem", "disc", "--threshold", "1/4"]],
+                         ids=["classic", "disc"])
+def test_check_fewer_candidates_than_k_is_undetermined(theorem, tmp_path):
+    donut = Gallery(
+        PolygonWithHoles([(0, 0), (6, 0), (6, 6), (0, 6)], [[(2, 2), (2, 4), (4, 4), (4, 2)]]),
+        name="donut",
+    )
+    path, two, out = tmp_path / "donut.json", tmp_path / "two.json", tmp_path / "report.json"
+    path.write_text(docio.dumps(docio.gallery_to_document(donut)), encoding="utf-8")
+    two.write_text('[["0","0"],["6","6"]]', encoding="utf-8")
+    assert main(["check", str(path), "--candidates", str(two), *theorem, "-o", str(out)]) == 0
+    det = json.loads(out.read_text())["deterministic"]
+    assert det["hypothesis_verdict"] == "undetermined"
+    assert det["classification"] == "UNDETERMINED"
+    assert det["qualifiers"][0] == "no-candidate-tuples"
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_check_k_below_one_exits_2(k, tmp_path, capsys):
     out = tmp_path / "report.json"

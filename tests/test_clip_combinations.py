@@ -36,7 +36,7 @@ def _assert_matches(poly, groups, r):
 
 def _cones(verts, count):
     bprime = disc_polygon(verts, area=1)
-    return [cone_halfplanes(_apex(2.0 * math.pi * k / count, 10), bprime) for k in range(count)]
+    return [cone_halfplanes(_apex(2.0 * math.pi * k / count), bprime) for k in range(count)]
 
 
 @pytest.mark.parametrize("verts, count", [(8, 5), (24, 7), (96, 6)])

@@ -311,7 +311,7 @@ def test_clip_matches_oracle_on_spiked_cone_halfplanes():
     and to the bounding square (the core)."""
     bprime = disc_polygon(96, area=1)
     mdisc = disc_polygon(96, radius=2)
-    per_apex = [cone_halfplanes(_apex(2.0 * math.pi * k / 5, 10), bprime) for k in range(5)]
+    per_apex = [cone_halfplanes(_apex(2.0 * math.pi * k / 5), bprime) for k in range(5)]
     for combo in list(itertools.combinations(range(5), 2))[:4]:
         out = _assert_clip_matches(mdisc, [h for k in combo for h in per_apex[k]])
         assert not out.degenerate

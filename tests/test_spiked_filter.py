@@ -48,7 +48,7 @@ def test_tangent_walk_matches_scan_from_spike_apexes():
     # and a spread of k; every third of them for the 96-gons, whose rings the
     # oracle scans at length
     apexes = sorted({
-        _apex(2.0 * math.pi * k / c, 10) for c in range(1, 41) for k in {0, 1, c // 3, c // 2, c - 1}
+        _apex(2.0 * math.pi * k / c) for c in range(1, 41) for k in {0, 1, c // 3, c // 2, c - 1}
     })
     for disc in DISCS:
         for apex in apexes if len(disc.vertices) < 96 else apexes[::3]:
@@ -164,7 +164,7 @@ def test_filtered_minimum_on_near_ties_of_rotated_cones():
     bprime = disc_polygon(24, area=1)
     mdisc = disc_polygon(24, radius=2)
     for count, n in ((6, 2), (7, 3), (8, 4)):
-        per_apex = [cone_halfplanes(_apex(2.0 * math.pi * k / count, 10), bprime) for k in range(count)]
+        per_apex = [cone_halfplanes(_apex(2.0 * math.pi * k / count), bprime) for k in range(count)]
         areas = [
             clip_convex(mdisc.vertices, [h for k in combo for h in per_apex[k]]).area()
             for combo in itertools.combinations(range(count), n)
