@@ -13,7 +13,9 @@ The classic and quantitative checks share one skeleton, `_check_tuples`: a
 theorem is a judge of tuples plus a kernel conclusion. The classic judge
 asks whether a tuple sees a common point, the quantitative one whether the
 tuple's common visibility holds the witness; each conclusion asks the same
-of the kernel. Every report is built by `_report`.
+of the kernel. An empty kernel names its own certificate, Helly's three edge
+midpoints (see `kernel`), which fails every judge at k >= 3 without a scan.
+Every report is built by `_report`.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Tuple
 
 from artgallery.rational import rat, rationalize
-from artgallery.gallery import Gallery, ViewCache, _midpoint
-from artgallery.geom.primitives import Point2, meet, orient, pt
-from artgallery.geom.polygon import PolygonWithHoles, Region, region_bbox
+from artgallery.gallery import Gallery, ViewCache
+from artgallery.geom.primitives import Point2, orient, pt
+from artgallery.geom.polygon import Region, region_bbox
 from artgallery.geom.convex import ConvexPolygon
-from artgallery.kernel import kernel_halfplanes
 from artgallery import inscribe
 
 
@@ -224,52 +225,10 @@ def _report(theorem, gallery, cfg, hyp, concl, preconditions, certified=True, **
 
 
 def kernel_status(gallery):
-    """(verdict, witness, certified, qualifier) for "the kernel is nonempty",
-    decided exactly; NotAreal for a skeletal gallery."""
+    """(verdict, witness, qualifier) for "the kernel is nonempty", decided
+    exactly; NotAreal for a skeletal gallery. The witness of "fails" is a
+    tuple of points that sees no common point, or None (see `gallery`)."""
     return gallery.kernel_status()
-
-
-def halfplane_triple_empty(l1, l2, l3) -> bool:
-    """Exact emptiness of the intersection of three closed half-planes, each
-    given as its integer line (A, B, C) for A*x + B*y <= C (`HalfPlane.line`).
-
-    Nonempty intersections with no parallel pair always expose a feasible
-    pairwise line crossing (a pointed 2D polyhedron has a vertex), so testing
-    the crossings plus antiparallel slabs decides emptiness. A crossing is one
-    homogeneous line meet (X, Y, W), W > 0, and lies in a half-plane when
-    A*X + B*Y <= C*W.
-    """
-    lines = (l1, l2, l3)
-    crossings = []
-    for p, q in itertools.combinations(lines, 2):
-        v = meet(p, q)
-        if v[2]:
-            crossings.append(v)
-            continue
-        (a1, b1, c1), (a2, b2, c2) = p, q
-        if a1 * a2 + b1 * b2 < 0:
-            # antiparallel: (a2, b2) = -t (a1, b1) with t = |a2|/|a1| (or
-            # |b2|/|b1|) > 0; a gap between them when t*c1 + c2 < 0
-            s1, s2 = (abs(a1), abs(a2)) if a1 else (abs(b1), abs(b2))
-            if s2 * c1 + s1 * c2 < 0:
-                return True
-    for x, y, w in crossings:
-        if all(a * x + b * y <= c * w for a, b, c in lines):
-            return False
-    return bool(crossings)
-
-
-def _helly_violating_edges(poly: PolygonWithHoles) -> Optional[Tuple[int, int, int]]:
-    """Indices of three edges whose inner half-planes have empty intersection.
-
-    Exists whenever the kernel of a hole-free polygon is empty (Helly in the
-    plane, finite family).
-    """
-    lines = [hp.line() for hp in kernel_halfplanes(poly)]
-    for combo in itertools.combinations(range(len(lines)), 3):
-        if halfplane_triple_empty(*(lines[i] for i in combo)):
-            return combo
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +243,28 @@ def _candidates(gallery, candidates: Optional[CandidateSet], cfg: CheckConfig) -
 
 
 def _check_tuples(theorem, gallery, candidates, cfg, k, concl, certified, witnesses, qualifiers,
-                  judge):
+                  judge, cert):
     """`judge` over the candidate k-tuples against the kernel conclusion
     `concl`. A conclusion that holds settles every tuple, since the kernel
-    lies in each tuple's common visibility; else the tuples are scanned."""
+    lies in each tuple's common visibility. `cert`, the kernel's "fails"
+    witness or None, sees no common point, so padded with the first other
+    candidates it is a failing k-tuple. Else the tuples are scanned."""
     total = math.comb(len(candidates), k)
     preconditions = _tuple_size_preconditions(cfg)
     if concl == "holds":
         return _report(
             theorem, gallery, cfg, "holds-on-candidates", concl, preconditions,
             witnesses=witnesses, coverage=Coverage(0, total, fast_path="kernel-superset"),
+            qualifiers=tuple(dict.fromkeys(qualifiers)),
+        )
+    if cert is not None and len(cert) <= k <= len(candidates):
+        if not gallery.common_visibility(cert).is_empty():
+            raise AssertionError("Helly certificate contradicts exact common visibility")
+        rest = itertools.islice((p for p in candidates.points if p not in cert), k - len(cert))
+        return _report(
+            theorem, gallery, cfg, "violated", concl, preconditions, certified,
+            violating_tuples=(cert + tuple(rest),), witnesses=witnesses,
+            coverage=Coverage(1, total, fast_path="helly-edge-triple"),
             qualifiers=tuple(dict.fromkeys(qualifiers)),
         )
     hyp, violating, scan_qualifiers, cov = _scan(
@@ -312,37 +283,12 @@ def check_classic(gallery, candidates: Optional[CandidateSet] = None,
     k = cfg.tuple_size()
     candidates = _candidates(gallery, candidates, cfg)
 
-    concl, witness, certified, kq = kernel_status(gallery)
-    qualifiers = [kq] if kq else []
-    witnesses = (("kernel", witness),) if witness is not None else ()
-
-    if (concl == "fails" and 3 <= k <= len(candidates)
-            and isinstance(gallery, Gallery) and gallery.simply_connected):
-        # empty kernel: Helly yields three edge half-planes with empty
-        # intersection; visibility from an edge midpoint stays in the edge's
-        # inner half-plane, so the three midpoints, and any k-tuple holding
-        # them, cannot see a common point; the reported tuple is the triple
-        # and the first k - 3 other candidates
-        poly = gallery.polygon
-        combo = _helly_violating_edges(poly)
-        if combo is not None:
-            edges = list(poly.outer.edges())
-            triple = tuple(_midpoint(*edges[i]) for i in combo)
-            if not gallery.common_visibility(triple).is_empty():
-                raise AssertionError("Helly certificate contradicts exact common visibility")
-            rest = itertools.islice((p for p in candidates.points if p not in triple), k - 3)
-            cov = Coverage(1, math.comb(len(candidates), k), fast_path="helly-edge-triple")
-            return _report(
-                "classic", gallery, cfg, "violated", "fails", _tuple_size_preconditions(cfg),
-                violating_tuples=(triple + tuple(rest),), coverage=cov,
-                qualifiers=tuple(qualifiers),
-            )
-
-    # general path: enumerate candidate tuples up to the cap
+    concl, kern, kq = kernel_status(gallery)
     cache = ViewCache()
     return _check_tuples(
-        "classic", gallery, candidates, cfg, k, concl, certified, witnesses, qualifiers,
-        lambda tup: _common_status(gallery, tup, cache),
+        "classic", gallery, candidates, cfg, k, concl, True,
+        (("kernel", kern),) if concl == "holds" else (), [kq] if kq else [],
+        lambda tup: _common_status(gallery, tup, cache), kern if concl == "fails" else None,
     )
 
 
@@ -605,7 +551,8 @@ def check_quantitative(gallery, candidates: Optional[CandidateSet] = None,
     candidates = _candidates(gallery, candidates, cfg)
 
     # the conclusion: a witness in the kernel; a single point holds none
-    concl, kern, _, kq = kernel_status(gallery)
+    concl, kern, kq = kernel_status(gallery)
+    cert = kern if concl == "fails" else None
     witness = wq = None
     if isinstance(kern, Point2):
         concl = "fails"
@@ -621,7 +568,7 @@ def check_quantitative(gallery, candidates: Optional[CandidateSet] = None,
     theorem = cfg.theorem if cfg.theorem != "classic" else cfg.family
     return _check_tuples(
         theorem, gallery, candidates, cfg, k, concl, wq is None, witnesses,
-        [q for q in (kq, wq) if q], judge,
+        [q for q in (kq, wq) if q], judge, cert,
     )
 
 

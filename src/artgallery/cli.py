@@ -37,11 +37,11 @@ def _emit(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _parse_xy(x: str, y: str) -> Point2:
+def _parse_rat(text: str, what: str):
     try:
-        return Point2(rat(x), rat(y))
+        return rat(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad coordinate: {exc}") from exc
+        raise InputError(f"bad {what}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,7 @@ def _parse_xy(x: str, y: str) -> Point2:
 
 def _visibility(gallery, x: str, y: str):
     """The viewpoint (x, y) and its exact visibility set, on any gallery kind."""
-    p = _parse_xy(x, y)
+    p = Point2(_parse_rat(x, "coordinate"), _parse_rat(y, "coordinate"))
     if not gallery.contains(p):
         raise InputError(f"point ({x}, {y}) is outside the gallery")
     return p, gallery.common_visibility([p])
@@ -71,7 +71,7 @@ def cmd_vis(args) -> int:
 
 def cmd_kernel(args) -> int:
     gallery = docio.load_gallery(args.gallery)
-    verdict, witness, _, _ = checkers.kernel_status(gallery)
+    verdict, witness, _ = checkers.kernel_status(gallery)
     if verdict == "fails":
         print("EMPTY")
         if args.output:
@@ -110,7 +110,7 @@ def _load_candidates(gallery, spec: Optional[str]) -> Optional[CandidateSet]:
         with open(spec, encoding="utf-8") as fh:
             raw = json.load(fh)
         points = [Point2(rat(x), rat(y)) for x, y in raw]
-    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot read candidates from {spec!r}: {exc}") from exc
     return CandidateSet.from_points(gallery, points)
 
@@ -136,7 +136,7 @@ def _check_config(args) -> CheckConfig:
         theorem="quantitative" if quantitative else args.theorem,
         k=args.k,
         family=args.theorem if quantitative else None,
-        threshold=rat(args.threshold) if args.threshold is not None else None,
+        threshold=None if args.threshold is None else _parse_rat(args.threshold, "--threshold"),
         seed=args.seed,
         cap=args.cap,
     )
@@ -254,7 +254,7 @@ def cmd_render(args) -> int:
         if spec == "classes":
             overlays.append(("classes", None))
         elif spec == "kernel":
-            verdict, witness, _, _ = checkers.kernel_status(gallery)
+            verdict, witness, _ = checkers.kernel_status(gallery)
             if verdict == "holds":
                 overlays.append(("kernel", witness))
         elif spec.startswith("vis:"):

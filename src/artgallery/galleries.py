@@ -350,7 +350,6 @@ class MEstimate:
     value: object  # exact rational f at the best directions found
     angles: Tuple[float, ...]
     evaluations: int
-    certified_global: bool = False  # always an upper bound on the true minimum
 
 
 def estimate_m(

@@ -24,8 +24,10 @@ hold:
   * ``common_visibility_is_empty(points, cache=None)``: whether that common
     visibility is empty, which a polygonal gallery decides without building
     the last intersection;
-  * ``kernel_status()``: ``(verdict, witness, certified, qualifier)`` for
-    "the kernel is nonempty", decided exactly; a skeletal gallery raises
+  * ``kernel_status()``: ``(verdict, witness, qualifier)`` for "the kernel
+    is nonempty", decided exactly. The witness of "holds" is the kernel; of
+    "fails", on a hole-free polygonal gallery, Helly's three edge midpoints,
+    which see no common point, else ``None``. A skeletal gallery raises
     :class:`NotAreal`;
   * ``simply_connected``: whether the paper's simply connected precondition
     holds;
@@ -172,11 +174,14 @@ class Gallery(GalleryKind):
         from artgallery import kernel
 
         if self.polygon.holes:
-            return "fails", None, True, "hole-shadow"
+            return "fails", None, "hole-shadow"
         kern = kernel.kernel_simple(self.polygon)
         if kern.is_empty():
-            return "fails", None, True, None
-        return "holds", kern, True, None
+            # a point of an edge sees only into the edge's inner half-plane
+            edges = list(self.polygon.outer.edges())
+            combo = kernel._helly_violating_edges(self.polygon)
+            return "fails", tuple(_midpoint(*edges[i]) for i in combo), None
+        return "holds", kern, None
 
 
 @dataclass(frozen=True)
@@ -344,15 +349,15 @@ class PinchedGallery(GalleryKind):
     def kernel_status(self):
         if len(self.components) == 1:
             # single convex piece: every point sees everything
-            return "holds", self.components[0], True, None
+            return "holds", self.components[0], None
         # segments into a foreign component pass through one of its pinch
         # points, so an outside viewer covers only finitely many rays of it;
         # hence x sees a whole convex piece iff x belongs to it, and the
         # kernel is the intersection of all components
         for p in self.pinch_points:
             if all(c.contains(p) for c in self.components):
-                return "holds", p, True, "kernel-single-point"
-        return "fails", None, True, None
+                return "holds", p, "kernel-single-point"
+        return "fails", None, None
 
 
 def as_polygon(gallery) -> PolygonWithHoles:

@@ -192,7 +192,7 @@ def contains_box_of_area(shape, target_area) -> Optional[Box2]:
     if a <= 0:
         raise ValueError("target area must be positive")
     if not isinstance(shape, ConvexPolygon):
-        return _nonconvex_box_search(shape, lambda w: a / w)
+        return _nonconvex_box_search(shape, lambda w: a / w, math.inf)
     (x0, y0), (x1, y1) = region_bbox(Region((shape.to_polygon(),)))
     W, H = x1 - x0, y1 - y0
     if W <= 0 or H <= 0 or a > W * H:
@@ -225,7 +225,7 @@ def contains_box_of_axis_sum(shape, axis_sum) -> Optional[Box2]:
     if s <= 0:
         raise ValueError("axis sum must be positive")
     if not isinstance(shape, ConvexPolygon):
-        return _nonconvex_box_search(shape, lambda w: s - w)
+        return _nonconvex_box_search(shape, lambda w: s - w, s)
     (x0, y0), (x1, y1) = region_bbox(Region((shape.to_polygon(),)))
     W, H = x1 - x0, y1 - y0
     w_lo = s - H if s - H > 0 else rat(1, 10**6) * s
@@ -243,12 +243,14 @@ def contains_box_of_axis_sum(shape, axis_sum) -> Optional[Box2]:
     return _convex_box_scan(shape, widths(), lambda w: s - w)
 
 
-def _nonconvex_box_search(region: Region, side_for_width) -> Optional[Box2]:
-    """Grid placement search with exact certification (slow; small grids)."""
+def _nonconvex_box_search(region: Region, side_for_width, max_width) -> Optional[Box2]:
+    """Grid placement search with exact certification (slow; small grids);
+    widths are fractions of the bounding-box width or of the smaller
+    `max_width`, past which no height is positive."""
     (x0, y0), (x1, y1) = region_bbox(region)
     W, H = x1 - x0, y1 - y0
     for k in range(1, BOX_GRID_ASPECTS + 1):
-        w = W * rat(k, BOX_GRID_ASPECTS + 1)
+        w = min(W, max_width) * rat(k, BOX_GRID_ASPECTS + 1)
         h = side_for_width(w)
         if h <= 0 or h > H:
             continue

@@ -6,6 +6,7 @@ THEOREM_VIOLATION_CANDIDATE when the conclusion failure is certified.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,6 @@ from artgallery.checkers import (
     check_colorful_general,
     check_colorful_plane,
     check_quantitative,
-    halfplane_triple_empty,
     kernel_status,
     search_counterexample,
 )
@@ -30,6 +30,7 @@ from artgallery.geom.convex import ConvexPolygon, HalfPlane
 from artgallery.geom.polygon import PolygonWithHoles
 from artgallery.geom.primitives import pt
 from artgallery.inscribe import PolytopeNormBall
+from artgallery.kernel import halfplane_triple_empty
 from artgallery.rational import rat
 
 
@@ -134,32 +135,55 @@ def test_halfplane_triple_empty_cases():
 
 
 def test_kernel_status_star_certified():
-    verdict, witness, certified, _ = kernel_status(star_gallery(1))
-    assert verdict == "holds" and certified
+    verdict, witness, _ = kernel_status(star_gallery(1))
+    assert verdict == "holds" and isinstance(witness, ConvexPolygon)
     assert witness is not None
 
 
 def test_kernel_status_empty_kernel():
-    verdict, witness, certified, _ = kernel_status(empty_kernel_gallery(1))
-    assert verdict == "fails" and certified and witness is None
+    verdict, witness, _ = kernel_status(empty_kernel_gallery(1))
+    assert verdict == "fails" and len(witness) == 3
 
 
 def test_kernel_status_hole_shadow():
-    verdict, _, certified, qualifier = kernel_status(donut_gallery())
-    assert verdict == "fails" and certified
+    verdict, witness, qualifier = kernel_status(donut_gallery())
+    assert verdict == "fails" and witness is None
     assert qualifier == "hole-shadow"
 
 
 def test_kernel_status_pinched_chain_is_pinch_point():
-    verdict, witness, certified, qualifier = kernel_status(chain_gallery())
-    assert verdict == "holds" and certified
+    verdict, witness, qualifier = kernel_status(chain_gallery())
+    assert verdict == "holds"
     assert witness == pt((1, 0))
     assert qualifier == "kernel-single-point"
 
 
 def test_kernel_status_pinched_multi_component_empty():
-    verdict, _, certified, _ = kernel_status(gen_fig1())
-    assert verdict == "fails" and certified
+    verdict, witness, _ = kernel_status(gen_fig1())
+    assert verdict == "fails" and witness is None
+
+
+def _empty_kernel_galleries():
+    """gen_empty_kernel seeds 1-6 and the gen_simple seeds of 0-9 whose
+    kernel is empty (all but seed 6)."""
+    out = [empty_kernel_gallery(seed) for seed in range(1, 7)]
+    simple = [Gallery(gen_simple(seed, 12), name=f"simple-{seed}") for seed in range(10)]
+    out += [g for g in simple if kernel_status(g)[0] == "fails"]
+    assert len(out) == 6 + 9
+    return out
+
+
+def test_kernel_fails_witness_sees_no_common_point():
+    # Helly: three edges whose inner half-planes miss each other, and an
+    # edge midpoint sees only into its edge's inner half-plane
+    for g in _empty_kernel_galleries():
+        verdict, witness, qualifier = kernel_status(g)
+        assert (verdict, qualifier) == ("fails", None)
+        assert isinstance(witness, tuple) and len(witness) == 3
+        tags = dict(g.structural_points())
+        assert all(tags[p] == "edge-midpoint" for p in witness)
+        assert g.common_visibility(witness).is_empty()
+        assert g.common_visibility_is_empty(witness)
 
 
 # -- classic checker ----------------------------------------------------------
@@ -419,6 +443,64 @@ def test_quantitative_norm_segment_needs_ball():
         check_quantitative(g, None, CheckConfig(family="norm-segment", threshold=rat(1)))
 
 
+L1_BALL = PolytopeNormBall([(1, 0), (0, 1), (-1, 0), (0, -1)])
+QUANT_CASES = (
+    ("disc", rat(1, 4)),
+    ("box-volume", rat(1, 16)),
+    ("box-sum", rat(1, 2)),
+    ("ellipse", rat(1, 4)),
+    ("vwidth-segment", rat(1)),
+    ("norm-segment", rat(1, 4)),
+    ("region-area", rat(1, 4)),
+)
+
+
+def _quant_cfg(family, threshold, k=None):
+    ball = L1_BALL if family == "norm-segment" else None
+    return CheckConfig(family=family, threshold=threshold, norm_ball=ball, k=k)
+
+
+@pytest.mark.parametrize("family, threshold", QUANT_CASES, ids=[f for f, _ in QUANT_CASES])
+def test_quantitative_empty_kernel_takes_the_helly_triple(family, threshold):
+    # the triple sees no common point, so no tuple that holds it sees a
+    # witness; the report is the classic one's at the same k
+    g = empty_kernel_gallery(1)
+    cfg = _quant_cfg(family, threshold)
+    k = cfg.tuple_size()
+    r = check_quantitative(g, None, cfg)
+    c = check_classic(g, cfg=CheckConfig(k=k))
+    assert (r.hypothesis_verdict, r.conclusion_verdict, r.classification) == (
+        "violated", "fails", "VACUOUS")
+    total = math.comb(len(CandidateSet.default(g)), k)
+    assert (r.coverage.checked, r.coverage.total, r.coverage.fast_path) == (
+        1, total, "helly-edge-triple")
+    (tup,) = r.violating_tuples
+    assert len(tup) == k and tup[:3] == kernel_status(g)[1]
+    assert r.violating_tuples == c.violating_tuples
+    assert r.coverage == c.coverage
+
+
+def test_quantitative_pairs_still_scan():
+    # a Helly triple says nothing of pairs
+    g = empty_kernel_gallery(1)
+    r = check_quantitative(g, None, _quant_cfg("disc", rat(1, 4), k=2))
+    assert r.coverage.fast_path is None
+    assert r.coverage.checked > 1
+
+
+@pytest.mark.parametrize("family, threshold", QUANT_CASES[:2], ids=["disc", "box-volume"])
+def test_no_certificate_without_a_hole_free_polygon(family, threshold):
+    # a hole (the donut) or a pinched gallery (fig1) has an empty kernel but
+    # no edge triple to name, so the tuples are scanned
+    for g in (donut_gallery(), gen_fig1()):
+        verdict, witness, _ = kernel_status(g)
+        assert (verdict, witness) == ("fails", None)
+        cfg = replace(_quant_cfg(family, threshold), cap=5)
+        for r in (check_quantitative(g, None, cfg), check_classic(g, cfg=CheckConfig(cap=5))):
+            assert r.coverage.fast_path is None
+            assert r.coverage.checked <= 5
+
+
 def test_report_guard_rejects_uncertified_violation():
     with pytest.raises(ValueError):
         TheoremReport(
@@ -489,7 +571,7 @@ def seam_gallery():
 ])
 def test_zero_area_kernel_certifies_that_no_witness_fits(family, threshold):
     g = seam_gallery()
-    _, kern, _, _ = kernel_status(g)
+    _, kern, _ = kernel_status(g)
     assert isinstance(kern, ConvexPolygon) and kern.degenerate and not kern.is_empty()
     cand = CandidateSet.from_points(g, [v for v, tag in g.structural_points() if tag == "vertex"])
     rep = check_quantitative(g, cand, CheckConfig(family=family, threshold=threshold))

@@ -226,3 +226,37 @@ def test_check_zero_area_kernel_is_a_certified_failure(tmp_path):
     det = json.loads(out.read_text())["deterministic"]
     assert det["conclusion_verdict"] == "fails"
     assert det["classification"] == "VACUOUS"
+
+
+# A zero denominator is bad input wherever a number is read: exit 2, as
+# `vis` does for a coordinate, never 1 with "internal error".
+@pytest.mark.parametrize("threshold, candidates", [
+    ("1/0", None), ("0/0", None), ("1/4", '[["1/0","0"]]'), ("1/4", '[["1","0/0"]]'),
+], ids=["threshold", "threshold-0/0", "candidate-x", "candidate-y"])
+def test_check_zero_denominator_exits_2(threshold, candidates, tmp_path, capsys):
+    square = Gallery(PolygonWithHoles([(0, 0), (2, 0), (2, 2), (0, 2)]), name="square")
+    path = tmp_path / "square.json"
+    path.write_text(docio.dumps(docio.gallery_to_document(square)), encoding="utf-8")
+    argv = ["check", str(path), "--theorem", "disc", "--threshold", threshold,
+            "-o", str(tmp_path / "out")]
+    if candidates is not None:
+        (tmp_path / "cand.json").write_text(candidates, encoding="utf-8")
+        argv += ["--candidates", str(tmp_path / "cand.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+
+
+def test_check_empty_kernel_quantitative_takes_the_helly_triple(tmp_path):
+    """Every generated gallery has an empty kernel, so its Helly triple
+    decides the disc check without a tuple scan."""
+    out = tmp_path / "batch.json"
+    argv = ["check", "--generator", "empty-kernel", "--theorem", "disc", "--threshold", "1/4",
+            "--budget", "2", "-o", str(out)]
+    assert main(argv) == 0
+    reports = [r["deterministic"] for r in json.loads(out.read_text())["reports"]]
+    assert len(reports) == 2
+    for det in reports:
+        assert det["classification"] == "VACUOUS"
+        assert det["coverage"]["fast_path"] == "helly-edge-triple"
+        assert len(det["violating_tuples"]) == 1 and len(det["violating_tuples"][0]) == 3

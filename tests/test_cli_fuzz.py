@@ -4,8 +4,10 @@ Exit code 1 is an internal error, so bad input must never reach it.
 Hypothesis draws well-formed gallery documents of every kind and mutates
 them (keys dropped, values of the wrong type, bad or moved coordinates,
 non-string names, text that is not JSON), then runs `vis`, `kernel` and
-`render` on them with drawn flags; a second test draws `generate` flags.
-The runs are derandomized, so every run tries the same examples.
+`render` on them with drawn flags; a second test draws `generate` flags,
+and a third draws `check` flags on the small galleries, where exit code 3
+(a violation candidate) is a verdict too. The runs are derandomized, so
+every run tries the same examples.
 """
 
 import contextlib
@@ -19,6 +21,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from artgallery import docio
+from artgallery.checkers import QUANT_FAMILIES
 from artgallery.cli import main
 from artgallery.galleries import gen_fig1, gen_spider
 
@@ -151,3 +154,34 @@ def test_generate_exits_0_or_2(flags):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["generate", *flags, "-o", str(Path(tmp) / "g.json")]
         assert _run(argv) in (0, 2), argv
+
+
+THEOREMS = ("classic", "colorful-plane", "colorful-general", *QUANT_FAMILIES, "bogus")
+NEAR_ORIGIN = ("0", "1/3", "1/2")  # makes candidates in the small bases likelier
+
+
+@st.composite
+def check_flags(draw):
+    """`check` flags, well-formed more often than not, and a candidates
+    file (None: the default candidates)."""
+    argv = ["--theorem", draw(st.one_of(st.sampled_from(QUANT_FAMILIES), st.sampled_from(THEOREMS))),
+            "--threshold", draw(COORD),
+            "--k", draw(st.one_of(st.sampled_from(["1", "3"]), st.sampled_from(["-1", "0", "1", "3"]))),
+            "--cap", str(draw(st.integers(0, 3)))]
+    coord = st.one_of(st.sampled_from(NEAR_ORIGIN), st.sampled_from(NEAR_ORIGIN), COORD)
+    point = st.lists(coord, min_size=2, max_size=2)
+    return argv, draw(st.one_of(st.none(), st.lists(point, max_size=4)))
+
+
+@settings(FUZZ, max_examples=150)
+@given(base=st.sampled_from(BASES[:4]), flags=check_flags())
+def test_check_exits_0_2_or_3(base, flags):
+    argv, points = flags
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.json"
+        path.write_text(json.dumps(base), encoding="utf-8")
+        argv = ["check", str(path), *argv, "-o", str(Path(tmp) / "out")]
+        if points is not None:
+            (Path(tmp) / "c.json").write_text(json.dumps(points), encoding="utf-8")
+            argv += ["--candidates", str(Path(tmp) / "c.json")]
+        assert _run(argv) in (0, 2, 3), argv

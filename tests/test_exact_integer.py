@@ -16,7 +16,6 @@ import exact_oracle as oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artgallery.checkers import _helly_violating_edges, halfplane_triple_empty
 from artgallery.galleries import _apex, cone_halfplanes, disc_polygon, gen_empty_kernel, gen_simple, gen_star
 from artgallery.geom.boolean import merge_collinear
 from artgallery.geom.convex import ConvexPolygon, HalfPlane, clip_convex, convex_hull
@@ -30,7 +29,7 @@ from artgallery.geom.primitives import (
     segments_intersect,
     segments_meet,
 )
-from artgallery.kernel import kernel_halfplanes
+from artgallery.kernel import _helly_violating_edges, halfplane_triple_empty, kernel_halfplanes
 from artgallery.rational import rat
 
 

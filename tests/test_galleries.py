@@ -164,7 +164,6 @@ def test_estimate_m_returns_descent_result():
     assert me.value > 1
     assert len(me.angles) == 4
     assert me.evaluations > 0
-    assert me.certified_global is False
 
 
 @pytest.fixture(scope="module")

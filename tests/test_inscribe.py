@@ -224,4 +224,4 @@ def test_region_box_search_certifies_containment():
     box = Box2(rat(9, 50), rat(0), rat(63, 25), rat(22, 25))
     assert all(point_in_region(p, u) for p in box.corners())
     assert not contains_box(u, box)
-    assert _nonconvex_box_search(u, lambda w: box.h if w == box.w else rat(-1)) is None
+    assert _nonconvex_box_search(u, lambda w: box.h if w == box.w else rat(-1), math.inf) is None

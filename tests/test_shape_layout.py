@@ -59,7 +59,7 @@ def test_kernel_file_follows_the_shape(tmp_path):
     path = generated("star", tmp_path)
     out = tmp_path / "kernel.json"
     assert main(["kernel", str(path), "-o", str(out)]) == 0
-    verdict, witness, _, _ = checkers.kernel_status(docio.load_gallery(path))
+    verdict, witness, _ = checkers.kernel_status(docio.load_gallery(path))
     assert verdict == "holds"
     doc = json.loads(out.read_text())
     assert doc == standalone(witness_document(witness))

@@ -317,3 +317,21 @@ def test_common_visibility_witnesses_are_exact():
                         held += 1
                         recheck(common, witness, q, family, cfg)
     assert held >= 100
+
+
+def test_box_sum_search_fits_regions_wider_than_the_threshold():
+    """The two rooms are 8 wide, 32 times the box-sum threshold 1/4: box
+    widths are tried as fractions of the threshold, not of the width, or no
+    width would leave a positive height. Each candidate pair's common
+    visibility holds a certified box."""
+    make, points = RECHECK_SCANS["two-rooms"]
+    g = make()
+    cfg = CheckConfig(family="box-sum", threshold=rat(1, 4))
+    held = 0
+    for i, x in enumerate(points):
+        for y in points[i + 1:]:
+            status, witness, q = _common_witness(g, (x, y), cfg)
+            assert (status, q) == ("holds", None), (x, y)
+            recheck(g.common_visibility((x, y)), witness, q, "box-sum", cfg)
+            held += 1
+    assert held == 6
