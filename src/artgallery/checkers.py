@@ -31,7 +31,7 @@ from artgallery.gallery import Gallery, ViewCache
 from artgallery.geom.primitives import Point2, orient, pt
 from artgallery.geom.polygon import Region, region_bbox
 from artgallery.geom.convex import ConvexPolygon
-from artgallery import inscribe
+from artgallery import galleries, inscribe
 
 
 # ---------------------------------------------------------------------------
@@ -341,21 +341,17 @@ def _scan(tuples, total, cap, judge):
 # Colorful checkers
 
 
-class NotSimplyConnected(ValueError):
-    pass
-
-
 def check_colorful_plane(gallery, p1, p2, p3, cfg: Optional[CheckConfig] = None) -> TheoremReport:
     """Planar colorful theorem: three classes, simply connected K.
 
     Passing the same class twice collapses to the two-class negative control
     (the optimality side of the theorem); the report then records the unmet
     three-class precondition and classifies the expected failure as
-    CONSISTENT_WITH_CLAIM rather than as a violation.
+    CONSISTENT_WITH_CLAIM rather than as a violation. A gallery that is not
+    simply connected is checked too, with its unmet precondition recorded
+    the same way, as `check_colorful_general` does.
     """
     cfg = cfg or CheckConfig(theorem="colorful-plane")
-    if isinstance(gallery, Gallery) and not gallery.simply_connected:
-        raise NotSimplyConnected("colorful-plane requires a simply connected gallery")
     classes = list(dict.fromkeys(tuple(pt(p) for p in cls) for cls in (p1, p2, p3)))
     preconditions = (
         ("simply-connected", gallery.simply_connected),
@@ -576,28 +572,19 @@ def check_quantitative(gallery, candidates: Optional[CandidateSet] = None,
 # Fuzzing
 
 
-GENERATORS = {}
-
-
-def _generator(name: str):
-    if not GENERATORS:
-        from artgallery import galleries as g
-
-        GENERATORS.update(
-            {
-                "star": lambda seed, **kw: Gallery(
-                    g.gen_star(seed, kw.get("n_vertices", 12)), name=f"star-{seed}"
-                ),
-                "simple": lambda seed, **kw: Gallery(
-                    g.gen_simple(seed, kw.get("n_vertices", 12)), name=f"simple-{seed}"
-                ),
-                "empty-kernel": lambda seed, **kw: Gallery(
-                    g.gen_empty_kernel(seed, kw.get("n_vertices", 12)),
-                    name=f"empty-kernel-{seed}",
-                ),
-            }
-        )
-    return GENERATORS[name]
+# Each generator looks its `galleries` function up when called, so a wrapper
+# bound over that function later is the one called.
+GENERATORS = {
+    "star": lambda seed, **kw: Gallery(
+        galleries.gen_star(seed, kw.get("n_vertices", 12)), name=f"star-{seed}"
+    ),
+    "simple": lambda seed, **kw: Gallery(
+        galleries.gen_simple(seed, kw.get("n_vertices", 12)), name=f"simple-{seed}"
+    ),
+    "empty-kernel": lambda seed, **kw: Gallery(
+        galleries.gen_empty_kernel(seed, kw.get("n_vertices", 12)), name=f"empty-kernel-{seed}"
+    ),
+}
 
 
 def search_counterexample(generator, cfg: Optional[CheckConfig] = None,
@@ -614,7 +601,7 @@ def search_counterexample(generator, cfg: Optional[CheckConfig] = None,
         check = check_quantitative
     else:
         raise ValueError(f"fuzzing not wired for theorem {cfg.theorem!r}")
-    make = _generator(generator) if isinstance(generator, str) else generator
+    make = GENERATORS[generator] if isinstance(generator, str) else generator
 
     def run(i):
         # one flat integer per run so a report reproduces standalone

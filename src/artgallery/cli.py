@@ -19,7 +19,6 @@ from artgallery.gallery import Gallery
 from artgallery.geom.polygon import Region
 from artgallery.geom.primitives import Point2
 from artgallery import docio, render
-from artgallery.docio import DocumentError
 from artgallery import checkers
 from artgallery.checkers import CandidateSet, CheckConfig, QUANT_FAMILIES
 from artgallery import galleries
@@ -334,13 +333,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, DocumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # InputError and DocumentError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

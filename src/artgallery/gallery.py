@@ -42,6 +42,7 @@ from typing import Mapping, Tuple
 
 from artgallery.rational import Q
 from artgallery.geom.primitives import Point2, Segment2, homogeneous, on_segment, pt
+from artgallery.geom.convex import ConvexPolygon, convex_intersect
 from artgallery.geom.polygon import (
     PolygonWithHoles,
     SimplePolygon,
@@ -252,15 +253,13 @@ class PinchedGallery(GalleryKind):
     point pairwise; the touching graph must be connected.
     """
 
-    components: Tuple["ConvexPolygon", ...]
+    components: Tuple[ConvexPolygon, ...]
     classes: Tuple[Tuple[str, Tuple[Point2, ...]], ...] = ()
     name: str = ""
 
     simply_connected = True
 
     def __init__(self, components, classes=(), name=""):
-        from artgallery.geom.convex import ConvexPolygon
-
         comps = tuple(
             c if isinstance(c, ConvexPolygon) else ConvexPolygon(c) for c in components
         )
@@ -275,8 +274,6 @@ class PinchedGallery(GalleryKind):
 
     def _meets(self):
         """(i, j, point) for every pair of components that touch."""
-        from artgallery.geom.convex import convex_intersect
-
         n = len(self.components)
         for i in range(n):
             for j in range(i + 1, n):

@@ -37,6 +37,7 @@ from artgallery.geom.primitives import (
     meet,
     on_segment,
     pt,
+    segments_intersect,
 )
 from artgallery.geom.polygon import SimplePolygon, ring_signed_area
 
@@ -285,8 +286,6 @@ def convex_intersect(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
         p, q = q, p
     if len(q.vertices) < 3:
         # Both degenerate: intersect point/segment supports directly.
-        from artgallery.geom.primitives import segments_intersect
-
         pa = p.vertices[0]
         pb = p.vertices[-1]
         qa = q.vertices[0]

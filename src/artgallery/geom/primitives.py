@@ -16,6 +16,7 @@ polygons) read each point's image once and work on the images.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from artgallery.rational import Q, rat
@@ -200,8 +201,6 @@ def same_direction(u, v) -> bool:
 
 def sort_directions(dirs):
     """Sort nonzero direction vectors CCW from the positive x-axis, removing duplicates."""
-    import functools
-
     def cmp(u, v):
         if same_direction(u, v):
             return 0

@@ -20,17 +20,19 @@ represented them either.
 The angular sweep runs on integer homogeneous images: each call reads every
 gallery vertex once as (X, Y, W) (see :mod:`artgallery.geom.primitives`;
 each vertex keeps its own W, no common denominator is taken), with its
-offset from the viewpoint and each edge's integer line. Whether a sector ray
-touches an edge is then a matter of integer signs, and only a touched edge
-builds a rational ray parameter; sample points are located against the same
-images, and a region vertex is one integer line meet, normalised once.
+offset from the viewpoint and each edge's integer line. Each sector asks only
+which edge the ray through its middle leaves by, and that ray passes through
+no vertex, so its first crossing answers: one scan of the edges with integer
+signs, crossings compared as integer ratios (see `_exit_edge`). A point is
+located only for a ray that crosses no edge, and a region vertex is one
+integer line meet, normalised once.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Tuple
 
-from artgallery.rational import Q, rat
+from artgallery.rational import rat
 from artgallery.gallery import PinchedGallery, SkeletalGallery, ViewCache, as_polygon
 from artgallery.geom.primitives import (
     Point2,
@@ -41,7 +43,6 @@ from artgallery.geom.primitives import (
     meet,
     orient,
     pt,
-    same_direction,
     segments_intersect,
     sort_directions,
 )
@@ -120,18 +121,17 @@ def sees(gallery, x, y) -> bool:
 class _View(NamedTuple):
     """A polygon as seen from x, on integer homogeneous images.
 
-    `rings` are the ring images, outer first, and `images` the same vertex
-    images in one list. `verts` holds each vertex v as (Wv, rx, ry): its
-    image's W and its offset from x scaled by Wv*W0 > 0, for x's image
-    `hx` = (X0, Y0, W0). `edges` holds each boundary edge, in the order of
-    `boundary_edges`, as (i, j, o, line): its vertex indices, the cross
-    product of their offsets (the sign of the turn x -> v_i -> v_j) and its
-    integer line.
+    `rings` are the ring images, outer first. `verts` holds each vertex v as
+    (Wv, rx, ry): its image's W and its offset from x scaled by Wv*W0 > 0,
+    for x's image `hx` = (X0, Y0, W0). `edges` holds each boundary edge, in
+    the order of `boundary_edges`, as (i, j, o, line): its vertex indices,
+    the cross product of their offsets (the sign of the turn x -> v_i ->
+    v_j, positive when x lies strictly left of the edge) and its integer
+    line.
     """
 
     hx: tuple
     rings: list
-    images: list
     verts: list
     edges: list
 
@@ -150,74 +150,69 @@ def _view(poly, x) -> _View:
             (_, ax, ay), (_, bx, by) = verts[i], verts[j]
             edges.append((i, j, ax * by - ay * bx, join(images[i], images[j])))
         start = end
-    return _View(hx, rings, images, verts, edges)
+    return _View(hx, rings, verts, edges)
 
 
-def _ray_events(view, u):
-    """Sorted (tau, edge index) boundary touches of the ray from x along the
-    integer vector u, tau > 0: the touch is the homogeneous point
-    (X0 + tau*ux, Y0 + tau*uy, W0). Of edges touched at the same tau, the
-    first is kept.
+def _exit_edge(view, u):
+    """Index of the edge through which the ray from x along a sector's
+    middle u leaves the closed polygon, or None when it leaves at once.
 
-    Whether the ray touches an edge is decided from integer signs alone;
-    only a touched edge builds a rational tau.
+    The ray meets an edge at the point (X0 + tau*ux, Y0 + tau*uy, W0) with
+    tau = o/d, d the scaled cross product u x (b - a); the first crossing is
+    the least tau > 0, compared as integer ratios. Why that is exact:
+
+    * The middle ray misses every vertex. u is the sum of two consecutive
+      sorted directions, which include every vertex direction and the four
+      axes, so u lies strictly inside a sector no wider than pi/2 and the
+      open ray from x passes through no vertex.
+    * Every touch is a proper crossing. Each touch at tau > 0 crosses one
+      edge in its interior: no edge lies along the ray, and two edges never
+      cross it at the same point, since edges of a valid polygon with holes
+      meet only at shared vertices.
+    * The first crossing decides. Before it, the ray is on the same side of
+      that edge as x, and every ring keeps the interior on its left (outer
+      ring CCW, holes CW). If o > 0, x is strictly left of the edge, so the
+      ray was inside and leaves through this edge. Otherwise the ray started
+      outside, with x on the boundary, and sees nothing. Edges through x
+      have o == 0 and never count as crossed.
+
+    Only a ray that crosses no edge locates a point (tau = 1): it must be
+    outside, or the gallery is not bounded.
     """
     verts = view.verts
     ux, uy = u
     side = [ux * ry - uy * rx for _, rx, ry in verts]  # u x (v - x), scaled
-    evs = []
+    best, bn, bd = None, 1, 0  # the least tau = bn/bd so far, infinite at first
     for k, (i, j, o, _) in enumerate(view.edges):
         ca, cb = side[i], side[j]
         if (ca > 0 and cb > 0) or (ca < 0 and cb < 0):
             continue  # both ends strictly on one side of the ray's line
         d = cb * verts[i][0] - ca * verts[j][0]  # u x (b - a), scaled
-        if d:
-            if o and (o > 0) == (d > 0):
-                evs.append((Q(o, d), k))
-        else:  # the edge lies on the ray's line
-            uu = ux * ux + uy * uy
-            for w, rx, ry in (verts[i], verts[j]):
-                dot = rx * ux + ry * uy
-                if dot > 0:
-                    evs.append((Q(dot, w * uu), k))
-    evs.sort()
-    return [ev for n, ev in enumerate(evs) if n == 0 or evs[n - 1][0] != ev[0]]
-
-
-def _blocking_edge(view, u):
-    """Index of the edge whose touch ends what the ray from x along u sees
-    inside the closed polygon, or None when the ray leaves it at once."""
+        n, d = (o, d) if d > 0 else (-o, -d)
+        if n > 0 and d > 0 and n * bd < bn * d:
+            best, bn, bd = k, n, d
+    if best is not None:
+        return best if view.edges[best][2] > 0 else None
     x0, y0, w0 = view.hx
-    ux, uy = u
-
-    def outside(n, m):  # the point at tau = n/m, m > 0
-        return locate_in_polygon_image((x0 * m + n * ux, y0 * m + n * uy, w0 * m), view.rings) == "out"
-
-    pn, pd, prev_edge = 0, 1, None
-    for t, e in _ray_events(view, u):
-        tn, td = t.numerator, t.denominator
-        if outside(pn * td + tn * pd, 2 * pd * td):  # the midpoint
-            return prev_edge
-        pn, pd, prev_edge = tn, td, e
-    if outside(pn + pd, pd):
-        return prev_edge
+    if locate_in_polygon_image((x0 + ux, y0 + uy, w0), view.rings) == "out":
+        return None
     raise RuntimeError("ray escapes a bounded gallery; invalid polygon")
 
 
 def _ray_line_point(view, u, e) -> Point2:
-    """Point where the ray from x along u meets the line of edge e; the
-    edge's end on the ray if they are parallel."""
+    """Point where the ray from x along u meets the line of edge e.
+
+    For a sector bound u and the sector's exit edge e the meet exists: the
+    edge's line misses x (its o is not 0), and the edge crosses the sector,
+    an open wedge narrower than pi with no vertex inside, so it meets both
+    bounding rays.
+    """
     x0, y0, w0 = view.hx
-    i, j, _, line = view.edges[e]
     ray = (-u[1] * w0, u[0] * w0, y0 * u[0] - x0 * u[1])  # A*x + B*y = C through x along u
-    p = meet(ray, line)
-    if p[2]:
-        return from_homogeneous(p)
-    for v in (i, j):
-        _, rx, ry = view.verts[v]
-        if (rx or ry) and same_direction((rx, ry), u):
-            return from_homogeneous(view.images[v])
-    raise RuntimeError("blocking edge collinear with sector ray")
+    p = meet(ray, view.edges[e][3])
+    if not p[2]:
+        raise RuntimeError("exit edge parallel to a sector ray")
+    return from_homogeneous(p)
 
 
 def _split_pinched(ring: List[Point2]) -> List[List[Point2]]:
@@ -266,7 +261,7 @@ def visibility_polygon(gallery, x) -> Region:
     ring_pts: List[Point2] = []
     for i in range(m):
         k = (i + 1) % m
-        e = _blocking_edge(view, (dirs[i][0] + dirs[k][0], dirs[i][1] + dirs[k][1]))
+        e = _exit_edge(view, (dirs[i][0] + dirs[k][0], dirs[i][1] + dirs[k][1]))
         if e is None:
             piece = (x,)
         else:

@@ -13,7 +13,6 @@ import pytest
 from artgallery.checkers import (
     CandidateSet,
     CheckConfig,
-    NotSimplyConnected,
     TheoremReport,
     check_classic,
     check_colorful_general,
@@ -317,11 +316,10 @@ def test_colorful_plane_two_class_control():
     assert dict(r.preconditions)["three-distinct-classes"] is False
 
 
-def test_colorful_plane_rejects_holes():
-    with pytest.raises(NotSimplyConnected):
-        check_colorful_plane(
-            donut_gallery(), (pt((0, 0)),), (pt((6, 0)),), (pt((0, 6)),), None
-        )
+def test_colorful_plane_records_holes():
+    r = check_colorful_plane(donut_gallery(), (pt((0, 0)),), (pt((6, 0)),), (pt((0, 6)),), None)
+    assert dict(r.preconditions)["simply-connected"] is False
+    assert r.classification != "THEOREM_VIOLATION_CANDIDATE"
 
 
 def test_colorful_general_spider_not_simply_connected():

@@ -4,15 +4,18 @@
 edge of every sector; `visibility_polygon` decides ray/edge touches by
 integer signs on the gallery's homogeneous images. Both are exact, so each
 case asks for the same Region: the same rings, in the same vertex order.
-The ray events are compared too, on every sector ray and every ray through a
-vertex: the same touch points on the same edges. The region alone would not
-show an extra touch, because the midpoint test walks past it.
+The sector decisions are compared too: on every sector's middle ray, the
+edge `_exit_edge` finds by the first crossing is the edge the oracle's walk
+over all ray events ends at. The region alone would not show a wrong edge
+whose line happens to give the same vertices.
 
 Viewpoints are chosen where the sweep has its special cases: vertices (a
 sector ray runs along each incident edge), edge interiors (half the
 directions leave at once), meets of two edge lines inside the gallery (sector
 rays through collinear vertices), and seeded points with 1,000-bit
-denominators.
+denominators. Two hand-made cases take the branches of `_exit_edge` that
+random galleries may miss: a middle ray that crosses no edge, and edges that
+touch a middle ray's line behind the viewpoint.
 """
 
 import itertools
@@ -28,7 +31,7 @@ from artgallery.gallery import Gallery
 from artgallery.geom.polygon import PolygonWithHoles, SimplePolygon, locate_in_polygon, region_bbox
 from artgallery.geom.primitives import Point2, from_homogeneous, homogeneous, join, meet, sort_directions
 from artgallery.rational import Q
-from artgallery.visibility import _ray_events, _view, visibility_polygon
+from artgallery.visibility import _exit_edge, _view, visibility_polygon
 
 
 def donut():
@@ -106,19 +109,23 @@ def viewpoints(name, g):
     )
 
 
-def assert_ray_events_match(g, x):
-    """Every ray of the sweep from x, along a sector's bounds (an axis or
-    through a vertex) and through its middle, touches the same edges at the
-    same points under both `_ray_events`."""
-    view = _view(g.polygon, x)
-    w0 = view.hx[2]
-    edges = list(g.polygon.boundary_edges())
+def middle_rays(view):
+    """The sector middles the sweep from the view's viewpoint decides, built
+    as `visibility_polygon` builds them."""
     offsets = [(rx, ry) for _, rx, ry in view.verts if rx or ry]
     dirs = sort_directions([(1, 0), (0, 1), (-1, 0), (0, -1)] + offsets)
-    for u in dirs + [(a[0] + b[0], a[1] + b[1]) for a, b in zip(dirs, dirs[1:] + dirs[:1])]:
-        got = [(t / w0, edges[k]) for t, k in _ray_events(view, u)]
-        want = kernel_oracle._ray_events(x, (Q(u[0]), Q(u[1])), edges)
-        assert got == want, (x, u)
+    return [(a[0] + b[0], a[1] + b[1]) for a, b in zip(dirs, dirs[1:] + dirs[:1])]
+
+
+def assert_exit_edges_match(g, x):
+    """On every middle ray of the sweep from x, `_exit_edge` names the edge
+    the oracle's walk along the same ray ends at (None for None)."""
+    view = _view(g.polygon, x)
+    edges = list(g.polygon.boundary_edges())
+    for u in middle_rays(view):
+        got = _exit_edge(view, u)
+        _, want = kernel_oracle._visible_radius(g.polygon, edges, x, (Q(u[0]), Q(u[1])))
+        assert (None if got is None else edges[got]) == want, (x, u)
 
 
 def test_distinct_denominators_gallery_has_them():
@@ -135,6 +142,43 @@ def test_visibility_polygon_matches_rational_sweep(name):
         got = visibility_polygon(g, x)
         want = rational_visibility_polygon(g, x)
         assert [list(r) for r in got.rings()] == [list(r) for r in want.rings()], (name, x)
-        assert_ray_events_match(g, x)
+        assert_exit_edges_match(g, x)
         kinds.add(locate_in_polygon(x, g.polygon))
     assert kinds == {"in", "on"}
+
+
+def on_edge_of_square():
+    """x on the bottom edge of a convex square: the rays below it cross no
+    edge, so `_exit_edge` locates the point at tau = 1."""
+    g = Gallery(SimplePolygon([(0, 0), (4, 0), (4, 4), (0, 4)]).validate())
+    x = Point2(Q(1), Q(0))
+    edges = list(g.polygon.boundary_edges())
+    outward = [u for u in middle_rays(_view(g.polygon, x)) if u[1] < 0]
+    assert outward == [(-1, -1), (1, -1)]
+    for u in outward:
+        assert kernel_oracle._ray_events(x, (Q(u[0]), Q(u[1])), edges) == []
+    return g, x
+
+
+def vertex_behind_viewpoint():
+    """A reflex vertex at -u/2 on the middle ray u = (1, 1) from the origin:
+    its two edges touch the ray's line at tau < 0, and only the edge from
+    (2, 0) to (0, 2) is crossed."""
+    notch = Point2(Q(-1, 2), Q(-1, 2))
+    g = Gallery(SimplePolygon([(2, 0), (0, 2), (-2, 0), notch, (0, -2)]).validate())
+    x = Point2(Q(0), Q(0))
+    view = _view(g.polygon, x)
+    assert (1, 1) in middle_rays(view)
+    edges = list(g.polygon.boundary_edges())
+    assert [e for e in edges if notch in e] == [((-2, 0), notch), (notch, (0, -2))]
+    assert edges[_exit_edge(view, (1, 1))] == ((2, 0), (0, 2))
+    return g, x
+
+
+@pytest.mark.parametrize("case", [on_edge_of_square, vertex_behind_viewpoint])
+def test_exit_edge_branches(case):
+    g, x = case()
+    assert_exit_edges_match(g, x)
+    got = visibility_polygon(g, x)
+    want = rational_visibility_polygon(g, x)
+    assert [list(r) for r in got.rings()] == [list(r) for r in want.rings()]
