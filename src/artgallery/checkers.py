@@ -416,8 +416,6 @@ def _witness_in_shape(shape, family, cfg):
     ellipse's float area, before "holds" ("mvie-float").
     """
     threshold = rat(cfg.threshold)
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     tol = rat(cfg.tolerance)  # the float searches' margin only
     convex = isinstance(shape, ConvexPolygon)
 

@@ -15,7 +15,6 @@ import time
 from typing import List, Optional
 
 from artgallery.rational import fmt, rat
-from artgallery.gallery import Gallery
 from artgallery.geom.polygon import Region
 from artgallery.geom.primitives import Point2
 from artgallery import docio, render
@@ -226,15 +225,8 @@ def cmd_generate(args) -> int:
             budget=args.budget,
         )
         meta["params"] = docio.spiked_params_to_document(params)
-    elif name == "star":
-        gallery = Gallery(
-            galleries.gen_star(args.seed, args.n_vertices), name=f"star-{args.seed}"
-        )
-        meta["n_vertices"] = args.n_vertices
-    elif name == "simple":
-        gallery = Gallery(
-            galleries.gen_simple(args.seed, args.n_vertices), name=f"simple-{args.seed}"
-        )
+    elif name in ("star", "simple"):
+        gallery = checkers.GENERATORS[name](args.seed, n_vertices=args.n_vertices)
         meta["n_vertices"] = args.n_vertices
     else:
         raise InputError(f"unknown example {name!r}")

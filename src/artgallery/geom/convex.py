@@ -237,14 +237,23 @@ def _clip_lines(ring, lines):
     return ring
 
 
-def clip_convex(convex, halfplanes) -> ConvexPolygon:
-    """Clip a convex polygon by a sequence of half-planes (exact).
+def clip_lines(convex, lines) -> List[Point2]:
+    """The points, in ring order, of a convex polygon or convex ring of
+    points (a `Segment2` is a ring of two) clipped by the closed half-planes
+    A*x + B*y <= C of the integer lines (A, B, C) (exact).
 
-    Vertices stay integer homogeneous while clipping; each output vertex that
-    is not an input vertex becomes one rational per coordinate at the end.
+    Vertices stay integer homogeneous while clipping. Input vertices come
+    back as they are; each new vertex is one line meet, normalised once.
     """
-    ring = _clip_lines(_start_ring(convex), (hp.line() for hp in halfplanes))
-    return ConvexPolygon([from_homogeneous(p) if point is None else point for p, point, _ in ring])
+    ring = _clip_lines(_start_ring(convex), lines)
+    return [from_homogeneous(p) if point is None else point for p, point, _ in ring]
+
+
+def clip_convex(convex, halfplanes) -> ConvexPolygon:
+    """Clip a convex polygon or convex ring of points by a sequence of
+    half-planes (exact): `clip_lines` on their integer lines, in canonical
+    form."""
+    return ConvexPolygon(clip_lines(convex, (hp.line() for hp in halfplanes)))
 
 
 def clip_combinations(convex, groups, r):

@@ -137,7 +137,8 @@ def erode_convex_by_box(c: ConvexPolygon, w, h) -> ConvexPolygon:
     """Exact placement region for the min-corner of a w x h axis box in C.
 
     The box [x, x+w] x [y, y+h] lies in C iff (x, y) lies in every edge
-    half-plane offset by the box's support in the edge normal.
+    half-plane offset by the box's support in the edge normal. The min
+    corner of a box in C lies in C, so clipping C itself gives the region.
     """
     w, h = rat(w), rat(h)
     if w < 0 or h < 0:
@@ -146,9 +147,7 @@ def erode_convex_by_box(c: ConvexPolygon, w, h) -> ConvexPolygon:
     for hp in c.halfplanes():
         shift = (hp.a * w if hp.a > 0 else 0) + (hp.b * h if hp.b > 0 else 0)
         offset.append(HalfPlane(hp.a, hp.b, hp.c - shift))
-    (x0, y0), (x1, y1) = region_bbox(Region((c.to_polygon(),)))
-    seed = (Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1))
-    return clip_convex(seed, offset)
+    return clip_convex(c, offset)
 
 
 def _convex_box_scan(c: ConvexPolygon, widths, side_for_width) -> Optional[Box2]:

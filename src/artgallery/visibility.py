@@ -6,7 +6,7 @@ passing exactly through a reflex corner) does not block sight.
 
 Skeletal and pinched galleries are finite unions of closed convex pieces
 (segments; convex polygons glued at points), and their visibility is decided
-by interval cover along lines; see the section that handles them. The rest
+by the chords the pieces cut on lines; see the section that handles them. The rest
 of this docstring is about polygonal galleries.
 
 The visibility region of a viewpoint is the closed two-dimensional part of
@@ -55,6 +55,7 @@ from artgallery.geom.polygon import (
     ring_signed_area,
 )
 from artgallery.geom.boolean import merge_collinear, region_boolean, regions_overlap
+from artgallery.geom.convex import clip_lines
 
 
 class NotInGallery(ValueError):
@@ -215,6 +216,12 @@ def _ray_line_point(view, u, e) -> Point2:
     return from_homogeneous(p)
 
 
+def _key(p):
+    """A rational point's four integer parts: equal exactly when the points
+    are (rationals are kept normalised), and cheaper to hash."""
+    return p[0].numerator, p[0].denominator, p[1].numerator, p[1].denominator
+
+
 def _split_pinched(ring: List[Point2]) -> List[List[Point2]]:
     """Split a weakly simple ring (repeated pinch vertices) into simple rings."""
     k = min(range(len(ring)), key=lambda i: (ring[i][0], ring[i][1]))
@@ -223,16 +230,17 @@ def _split_pinched(ring: List[Point2]) -> List[List[Point2]]:
     stack: List[Point2] = []
     pos = {}
     for p in ring:
-        if p in pos:
-            i = pos[p]
+        key = _key(p)
+        if key in pos:
+            i = pos[key]
             loop = stack[i:]
             for q in loop[1:]:
-                pos.pop(q, None)
+                pos.pop(_key(q), None)
             del stack[i + 1 :]
             if len(loop) >= 3:
                 out.append(loop)
         else:
-            pos[p] = len(stack)
+            pos[key] = len(stack)
             stack.append(p)
     if len(stack) >= 3:
         out.append(stack)
@@ -349,11 +357,15 @@ def common_visibility_is_empty(gallery, points, cache=None) -> bool:
 #
 # A skeletal gallery is a union of segments; a pinched one is a union of
 # convex polygons glued at single points. A closed convex piece meets a line
-# in a closed interval, so x sees y exactly when the pieces' intervals on the
-# line through x and y cover [x, y]. Every visibility set below comes from
-# that cover, and each is a `Cover` (the pieces, indices of whole pieces,
-# segments, isolated points); a viewpoint's own set has no isolated points,
-# and a common visibility is returned as the `Cover` it folds to:
+# in a closed chord (a segment, a point or nothing), so x sees y exactly when
+# the pieces' chords on the line through x and y cover [x, y]. A chord is
+# the piece cut by the convex clipper (`clip_lines`) on the integer lines of
+# the line's two sides and of up to two end caps across it; chords are
+# ordered along the line by p . d, and merged into runs, with no division.
+# Every visibility set below comes from those runs, and each is a `Cover`
+# (the pieces, indices of whole pieces, segments, isolated points); a
+# viewpoint's own set has no isolated points, and a common visibility is
+# returned as the `Cover` it folds to:
 #
 #   * skeletal: no whole pieces; on each gallery line through x, the covered
 #     run that contains x;
@@ -366,71 +378,57 @@ def common_visibility_is_empty(gallery, points, cache=None) -> bool:
 # each step can split segments differently.
 
 
-def _trace(piece, x, d, lo=None, hi=None):
-    """Exact {t in [lo, hi] : x + t*d in piece} as (t0, t1), or None if empty.
+def _direction(ha, hb):
+    """b - a for homogeneous points a and b, scaled by the positive a_w * b_w."""
+    return hb[0] * ha[2] - ha[0] * hb[2], hb[1] * ha[2] - ha[1] * hb[2]
 
-    `piece` is a Segment2 or a ConvexPolygon and d is nonzero; a bound of
-    None leaves that side open (the piece is bounded, so the trace is not).
-    A segment that crosses the line traces its single crossing point.
-    """
-    lows = [] if lo is None else [lo]
-    highs = [] if hi is None else [hi]
-    if isinstance(piece, Segment2):
-        wa = (piece.a[0] - x[0], piece.a[1] - x[1])
-        wb = (piece.b[0] - x[0], piece.b[1] - x[1])
-        ca = d[0] * wa[1] - d[1] * wa[0]  # sides of the line that a and b lie on
-        cb = d[0] * wb[1] - d[1] * wb[0]
-        if ca == 0 and cb == 0:
-            dd = d[0] * d[0] + d[1] * d[1]
-            ta = (wa[0] * d[0] + wa[1] * d[1]) / dd
-            tb = (wb[0] * d[0] + wb[1] * d[1]) / dd
-            lows.append(min(ta, tb))
-            highs.append(max(ta, tb))
-        elif ca * cb > 0:
-            return None
+
+def _chords(pieces, ha, hb, caps):
+    """Each piece's closed chord on the line through the homogeneous points
+    ha != hb, as (p . d, q . d, p, q) with p before q along d = b - a
+    (scaled by a positive integer), or None where the piece misses it.
+    `caps` holds up to two homogeneous points: the chord keeps p . d >= c . d
+    for the first and p . d <= c . d for the second."""
+    dx, dy = _direction(ha, hb)
+    lines = [join(ha, hb), join(hb, ha)]
+    for sign, (cx, cy, cw) in zip((-1, 1), caps):
+        lines.append((sign * dx * cw, sign * dy * cw, sign * (dx * cx + dy * cy)))
+    chords = []
+    for piece in pieces:
+        chord = None
+        ps = clip_lines(piece, lines)  # at most two points: the chord's ends
+        if ps:
+            p, q = ps[0], ps[-1]
+            kp, kq = p[0] * dx + p[1] * dy, q[0] * dx + q[1] * dy
+            chord = (kp, kq, p, q) if kp <= kq else (kq, kp, q, p)
+        chords.append(chord)
+    return chords
+
+
+def _runs(chords):
+    """Disjoint closed runs, in order along the line, whose union is that of
+    the chords (None entries skipped), in the chords' form."""
+    runs = []
+    for c in sorted(c for c in chords if c is not None):
+        if runs and c[0] <= runs[-1][1]:
+            if c[1] > runs[-1][1]:
+                runs[-1] = (runs[-1][0], c[1], runs[-1][2], c[3])
         else:
-            t = (wa[0] * wb[1] - wa[1] * wb[0]) / (cb - ca)
-            lows.append(t)
-            highs.append(t)
-    else:
-        for hp in piece.halfplanes():
-            num = hp.c - (hp.a * x[0] + hp.b * x[1])
-            den = hp.a * d[0] + hp.b * d[1]
-            if den > 0:
-                highs.append(num / den)
-            elif den < 0:
-                lows.append(num / den)
-            elif num < 0:
-                return None
-    t0, t1 = max(lows), min(highs)
-    return (t0, t1) if t0 <= t1 else None
-
-
-def _merge(intervals):
-    """Disjoint closed intervals, in order, whose union is that of `intervals`."""
-    merged = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+            runs.append(c)
+    return runs
 
 
 def _cover(pieces, a, b):
-    """Merged traces of the pieces on [a, b], as t-intervals of [0, 1] along
-    a + t*(b - a); for a == b, the trace of the point a, at t = 0."""
-    d, hi = ((b[0] - a[0], b[1] - a[1]), 1) if a != b else ((1, 0), 0)
-    return _merge(iv for piece in pieces if (iv := _trace(piece, a, d, 0, hi)) is not None)
+    """The runs (p, q) of the pieces on the closed segment [a, b], in order
+    from a to b; for a == b, the point a as (a, a) if a piece holds it."""
+    ha, hb = homogeneous(a), homogeneous(b)
+    far = hb if a != b else (ha[0] + ha[2], ha[1], ha[2])  # a + (1, 0) for a point
+    return [(p, q) for _, _, p, q in _runs(_chords(pieces, ha, far, (ha, hb)))]
 
 
 def _covered(pieces, a, b) -> bool:
     """The pieces cover the closed segment [a, b] (the point a if a == b)."""
-    return _cover(pieces, a, b) == [(0, 0 if a == b else 1)]
-
-
-def _at(x, d, t) -> Point2:
-    return Point2(x[0] + t * d[0], x[1] + t * d[1])
+    return _cover(pieces, a, b) == [(a, b)]
 
 
 def _sees(gallery, pieces, x, y) -> bool:
@@ -456,13 +454,11 @@ def pinched_sees(gallery: PinchedGallery, x, y) -> bool:
 def _clip(seg: Segment2, pieces, segs: List[Segment2], pts: List[Point2]) -> None:
     """Append the parts of seg inside the pieces: subsegments to segs,
     isolated points to pts, in order along seg."""
-    a, b = seg
-    d = (b[0] - a[0], b[1] - a[1])
-    for lo, hi in _cover(pieces, a, b):
-        if lo == hi:
-            pts.append(_at(a, d, lo))
+    for p, q in _cover(pieces, seg.a, seg.b):
+        if p == q:
+            pts.append(p)
         else:
-            segs.append(Segment2(*sorted((_at(a, d, lo), _at(a, d, hi)))))
+            segs.append(Segment2(*sorted((p, q))))
 
 
 class Cover(NamedTuple):
@@ -514,16 +510,18 @@ def skeletal_visibility(skel: SkeletalGallery, x) -> Tuple[Segment2, ...]:
     x = pt(x)
     if not skel.contains(x):
         raise NotInGallery(f"viewpoint {x} not in gallery")
-    lines = {}  # slope -> (direction, the gallery segments on that line through x)
+    lines = {}  # slope -> (the line's first segment, the gallery segments on it)
     for s in skel.segments:
         if orient(s.a, s.b, x) == 0:
             d = (s.b[0] - s.a[0], s.b[1] - s.a[1])
-            lines.setdefault(d[1] / d[0] if d[0] else None, (d, []))[1].append(s)
+            lines.setdefault(d[1] / d[0] if d[0] else None, (s, []))[1].append(s)
     runs = []
-    for d, segs in lines.values():
-        for lo, hi in _merge(_trace(s, x, d) for s in segs):
-            if lo <= 0 <= hi:
-                runs.append(Segment2(_at(x, d, lo), _at(x, d, hi)))
+    for first, segs in lines.values():
+        ha, hb = homogeneous(first.a), homogeneous(first.b)
+        dx, dy = _direction(ha, hb)
+        for lo, hi, p, q in _runs(_chords(segs, ha, hb, ())):
+            if lo <= x[0] * dx + x[1] * dy <= hi:
+                runs.append(Segment2(p, q))
     return tuple(runs)
 
 
@@ -540,17 +538,18 @@ def pinched_visibility(gallery: PinchedGallery, x):
     full = gallery.component_indices(x)
     if not full:
         raise NotInGallery(f"viewpoint {x} not in gallery")
+    hx = homogeneous(x)
     segments: List[Segment2] = []
     for P in gallery.pinch_points:
         if P == x:
             continue
-        d = (P[0] - x[0], P[1] - x[1])
-        ray = [_trace(comp, x, d, 0) for comp in gallery.components]
-        tmax = _merge(iv for iv in ray if iv is not None)[0][1]
-        for j, iv in enumerate(ray):
-            if j in full or iv is None or iv[0] > tmax:
+        ray = _chords(gallery.components, hx, homogeneous(P), (hx,))
+        _, tmax, _, end = _runs(ray)[0]
+        for j, chord in enumerate(ray):
+            if j in full or chord is None or chord[0] > tmax:
                 continue
-            seg = Segment2(*sorted((_at(x, d, iv[0]), _at(x, d, min(iv[1], tmax)))))
+            _, hi, p, q = chord
+            seg = Segment2(*sorted((p, q if hi <= tmax else end)))
             if seg not in segments:
                 segments.append(seg)
     return full, tuple(segments)

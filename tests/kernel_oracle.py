@@ -11,6 +11,11 @@ ran before it read the gallery as integer homogeneous images: every ray
 parameter is a `Fraction` (or `mpq`) division, points are located by the
 rational `exact_oracle.locate_in_ring`, and collinear vertices are merged by
 `exact_oracle.merge_collinear`, so a mismatch points at the integer code.
+
+`_trace`, `_merge` and `_cover` are the skeletal and pinched interval cover
+`visibility` ran before it cut each convex piece with the convex clipper:
+the piece's trace on a line is a t-interval of rational ray parameters, each
+a `Fraction` division, with the piece's type picking the formula.
 """
 
 from typing import List, Optional
@@ -28,7 +33,7 @@ from artgallery.geom.polygon import (
     region_bbox,
     ring_signed_area,
 )
-from artgallery.geom.primitives import Point2, orient, pt, same_direction, sort_directions
+from artgallery.geom.primitives import Point2, Segment2, orient, pt, same_direction, sort_directions
 from artgallery.kernel import kernel_halfplanes
 from artgallery.rational import rat
 from artgallery.visibility import NotInGallery, _split_pinched, segment_in_polygon, visibility_polygon
@@ -232,3 +237,61 @@ def rational_visibility_polygon(gallery, x) -> Region:
             if len(loop) >= 3 and ring_signed_area(loop) != 0:
                 comps.append(PolygonWithHoles(SimplePolygon(tuple(loop))))
     return Region(tuple(comps))
+
+
+def _trace(piece, x, d, lo=None, hi=None):
+    """Exact {t in [lo, hi] : x + t*d in piece} as (t0, t1), or None if empty.
+
+    `piece` is a Segment2 or a ConvexPolygon and d is nonzero; a bound of
+    None leaves that side open (the piece is bounded, so the trace is not).
+    A segment that crosses the line traces its single crossing point.
+    """
+    lows = [] if lo is None else [lo]
+    highs = [] if hi is None else [hi]
+    if isinstance(piece, Segment2):
+        wa = (piece.a[0] - x[0], piece.a[1] - x[1])
+        wb = (piece.b[0] - x[0], piece.b[1] - x[1])
+        ca = d[0] * wa[1] - d[1] * wa[0]  # sides of the line that a and b lie on
+        cb = d[0] * wb[1] - d[1] * wb[0]
+        if ca == 0 and cb == 0:
+            dd = d[0] * d[0] + d[1] * d[1]
+            ta = (wa[0] * d[0] + wa[1] * d[1]) / dd
+            tb = (wb[0] * d[0] + wb[1] * d[1]) / dd
+            lows.append(min(ta, tb))
+            highs.append(max(ta, tb))
+        elif ca * cb > 0:
+            return None
+        else:
+            t = (wa[0] * wb[1] - wa[1] * wb[0]) / (cb - ca)
+            lows.append(t)
+            highs.append(t)
+    else:
+        for hp in piece.halfplanes():
+            num = hp.c - (hp.a * x[0] + hp.b * x[1])
+            den = hp.a * d[0] + hp.b * d[1]
+            if den > 0:
+                highs.append(num / den)
+            elif den < 0:
+                lows.append(num / den)
+            elif num < 0:
+                return None
+    t0, t1 = max(lows), min(highs)
+    return (t0, t1) if t0 <= t1 else None
+
+
+def _merge(intervals):
+    """Disjoint closed intervals, in order, whose union is that of `intervals`."""
+    merged = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def _cover(pieces, a, b):
+    """Merged traces of the pieces on [a, b], as t-intervals of [0, 1] along
+    a + t*(b - a); for a == b, the trace of the point a, at t = 0."""
+    d, hi = ((b[0] - a[0], b[1] - a[1]), 1) if a != b else ((1, 0), 0)
+    return _merge(iv for piece in pieces if (iv := _trace(piece, a, d, 0, hi)) is not None)
