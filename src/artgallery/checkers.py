@@ -24,7 +24,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from artgallery.rational import rat, rationalize
 from artgallery.gallery import Gallery, ViewCache
@@ -65,25 +65,18 @@ class CandidateSet:
     @staticmethod
     def default(gallery, seed: int = 0, random_count: int = 20) -> "CandidateSet":
         """Vertices + edge midpoints + spike tips + seeded random points."""
-        pts: List[Point2] = []
-        tags: List[str] = []
-
-        def add(p, tag):
-            if p not in pts:
-                pts.append(p)
-                tags.append(tag)
-
+        tagged: Dict[Point2, str] = {}  # insertion-ordered; a point keeps its first tag
         for p, tag in gallery.structural_points():
-            add(p, tag)
+            tagged.setdefault(p, tag)
         try:
             for p in gallery.class_points("tips"):
-                add(pt(p), "spike-tip")
+                tagged.setdefault(pt(p), "spike-tip")
         except KeyError:
             pass
         rng = random.Random(f"candidates:{seed}")
         for p in gallery.random_points(rng, random_count):
-            add(p, f"random({seed})")
-        return CandidateSet(tuple(pts), tuple(tags))
+            tagged.setdefault(p, f"random({seed})")
+        return CandidateSet(tuple(tagged), tuple(tagged.values()))
 
 
 # ---------------------------------------------------------------------------

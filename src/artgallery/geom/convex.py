@@ -37,7 +37,6 @@ from artgallery.geom.primitives import (
     meet,
     on_segment,
     pt,
-    segments_intersect,
 )
 from artgallery.geom.polygon import SimplePolygon, ring_signed_area
 
@@ -285,24 +284,9 @@ def clip_combinations(convex, groups, r):
 
 
 def convex_intersect(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
-    """Exact intersection of two convex polygons.
+    """Exact intersection of two convex polygons; q must be full-dimensional,
+    p may be degenerate or empty.
 
     Zero-area touches are kept and reported as degenerate polygons.
     """
-    if p.is_empty() or q.is_empty():
-        return ConvexPolygon(())
-    if len(q.vertices) < 3:
-        p, q = q, p
-    if len(q.vertices) < 3:
-        # Both degenerate: intersect point/segment supports directly.
-        pa = p.vertices[0]
-        pb = p.vertices[-1]
-        qa = q.vertices[0]
-        qb = q.vertices[-1]
-        hit = segments_intersect(pa, pb, qa, qb)
-        if hit is None:
-            return ConvexPolygon(())
-        if hit[0] == "point":
-            return ConvexPolygon((hit[1],))
-        return ConvexPolygon((hit[1], hit[2]))
     return clip_convex(p, q.halfplanes())

@@ -10,12 +10,25 @@ by the chords the pieces cut on lines; see the section that handles them. The re
 of this docstring is about polygonal galleries.
 
 The visibility region of a viewpoint is the closed two-dimensional part of
-what it sees, exactly: star-shaped about the viewpoint, and pinched where it
-touches itself at a single point (seen exactly past a grazing corner), which
-is represented as separate components sharing a vertex. The one-dimensional
-pieces seen only along a ray through two collinear reflex corners are not
-represented; `common_visibility`, which intersects these regions, never
-represented them either.
+what it sees, exactly. It is star-shaped about the viewpoint, and the sweep
+builds it as one ring that never repeats a point, so it is one simple
+polygon (or empty):
+
+* Every ring point other than the viewpoint x is where the ray along one
+  sorted sector direction meets an exit edge's line. The directions are
+  distinct, so such a point is emitted only where the two sectors on either
+  side of its direction meet, and there the two candidates are adjacent and
+  already deduplicated.
+* The two points of one sector's piece differ, because the exit edge's line
+  misses x.
+* x is emitted only by sectors seen to depth 0, whose rays start outside the
+  gallery. They form one angular run: rings are simple and do not touch, so
+  x has a single exterior wedge. The wrap-around check joins a run that
+  crosses the first direction.
+
+The one-dimensional pieces seen only along a ray through two collinear
+reflex corners are not represented; `common_visibility`, which intersects
+these regions, never represented them either.
 
 The angular sweep runs on integer homogeneous images: each call reads every
 gallery vertex once as (X, Y, W) (see :mod:`artgallery.geom.primitives`;
@@ -216,42 +229,13 @@ def _ray_line_point(view, u, e) -> Point2:
     return from_homogeneous(p)
 
 
-def _key(p):
-    """A rational point's four integer parts: equal exactly when the points
-    are (rationals are kept normalised), and cheaper to hash."""
-    return p[0].numerator, p[0].denominator, p[1].numerator, p[1].denominator
-
-
-def _split_pinched(ring: List[Point2]) -> List[List[Point2]]:
-    """Split a weakly simple ring (repeated pinch vertices) into simple rings."""
-    k = min(range(len(ring)), key=lambda i: (ring[i][0], ring[i][1]))
-    ring = ring[k:] + ring[:k]
-    out: List[List[Point2]] = []
-    stack: List[Point2] = []
-    pos = {}
-    for p in ring:
-        key = _key(p)
-        if key in pos:
-            i = pos[key]
-            loop = stack[i:]
-            for q in loop[1:]:
-                pos.pop(_key(q), None)
-            del stack[i + 1 :]
-            if len(loop) >= 3:
-                out.append(loop)
-        else:
-            pos[key] = len(stack)
-            stack.append(p)
-    if len(stack) >= 3:
-        out.append(stack)
-    return out
-
-
 def visibility_polygon(gallery, x) -> Region:
     """Exact visibility region of viewpoint x (angular sweep).
 
     The result is the closed two-dimensional visibility set, star-shaped
-    about x; see the module docstring for pinches and what is left out.
+    about x: one simple ring, started at its least vertex, or no component;
+    see the module docstring for why the ring never repeats a point and
+    what is left out.
     """
     poly = as_polygon(gallery)
     x = pt(x)
@@ -280,13 +264,13 @@ def visibility_polygon(gallery, x) -> Region:
     while len(ring_pts) > 1 and ring_pts[0] == ring_pts[-1]:
         ring_pts.pop()
 
-    comps = []
-    if len(ring_pts) >= 3:
-        for loop in _split_pinched(ring_pts):
-            loop = merge_collinear(loop)
-            if len(loop) >= 3 and ring_signed_area(loop) != 0:
-                comps.append(PolygonWithHoles(SimplePolygon(tuple(loop))))
-    return Region(tuple(comps))
+    if len(ring_pts) < 3:
+        return Region(())
+    k = ring_pts.index(min(ring_pts))
+    ring = merge_collinear(ring_pts[k:] + ring_pts[:k])
+    if len(ring) < 3 or ring_signed_area(ring) == 0:
+        return Region(())
+    return Region((PolygonWithHoles(SimplePolygon(tuple(ring))),))
 
 
 def _fold(points, cache, view, meet):

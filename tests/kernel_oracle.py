@@ -11,6 +11,9 @@ ran before it read the gallery as integer homogeneous images: every ray
 parameter is a `Fraction` (or `mpq`) division, points are located by the
 rational `exact_oracle.locate_in_ring`, and collinear vertices are merged by
 `exact_oracle.merge_collinear`, so a mismatch points at the integer code.
+It still splits its ring at repeated points with `_split_pinched`, the
+splitter `visibility` carried before it built one ring per viewpoint, so a
+ring that pinched would show up as a difference.
 
 `_trace`, `_merge` and `_cover` are the skeletal and pinched interval cover
 `visibility` ran before it cut each convex piece with the convex clipper:
@@ -36,7 +39,7 @@ from artgallery.geom.polygon import (
 from artgallery.geom.primitives import Point2, Segment2, orient, pt, same_direction, sort_directions
 from artgallery.kernel import kernel_halfplanes
 from artgallery.rational import rat
-from artgallery.visibility import NotInGallery, _split_pinched, segment_in_polygon, visibility_polygon
+from artgallery.visibility import NotInGallery, segment_in_polygon, visibility_polygon
 
 
 def vertex_set(region) -> tuple:
@@ -196,6 +199,37 @@ def _ray_line_point(x, u, a, b) -> Point2:
         if (w[0] or w[1]) and same_direction(w, u):
             return p
     raise RuntimeError("blocking edge collinear with sector ray")
+
+
+def _key(p):
+    """A rational point's four integer parts: equal exactly when the points
+    are (rationals are kept normalised), and cheaper to hash."""
+    return p[0].numerator, p[0].denominator, p[1].numerator, p[1].denominator
+
+
+def _split_pinched(ring: List[Point2]) -> List[List[Point2]]:
+    """Split a weakly simple ring (repeated pinch vertices) into simple rings."""
+    k = min(range(len(ring)), key=lambda i: (ring[i][0], ring[i][1]))
+    ring = ring[k:] + ring[:k]
+    out: List[List[Point2]] = []
+    stack: List[Point2] = []
+    pos = {}
+    for p in ring:
+        key = _key(p)
+        if key in pos:
+            i = pos[key]
+            loop = stack[i:]
+            for q in loop[1:]:
+                pos.pop(_key(q), None)
+            del stack[i + 1 :]
+            if len(loop) >= 3:
+                out.append(loop)
+        else:
+            pos[key] = len(stack)
+            stack.append(p)
+    if len(stack) >= 3:
+        out.append(stack)
+    return out
 
 
 def rational_visibility_polygon(gallery, x) -> Region:

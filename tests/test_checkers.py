@@ -96,6 +96,22 @@ def test_candidate_default_deterministic():
     assert CandidateSet.default(g, seed=8).points != a.points
 
 
+def test_candidate_default_tags_tips_between_structural_and_random():
+    """A gallery with a "tips" class gets its points tagged spike-tip, after
+    the structural points and before the random ones; a tip that is already
+    a vertex keeps its first tag."""
+    g = Gallery(square_gallery().polygon, classes={"tips": [(1, 1), (3, 2), (0, 0)]}, name="sq")
+    c = CandidateSet.default(g, seed=0, random_count=5)
+    assert c.tags[:8] == ("vertex",) * 4 + ("edge-midpoint",) * 4
+    assert c.points[8:10] == (pt((1, 1)), pt((3, 2)))
+    assert c.tags[8:10] == ("spike-tip", "spike-tip")
+    assert c.tags[10:] and all(t == "random(0)" for t in c.tags[10:])
+    assert len(set(c.points)) == len(c.points)
+    plain = CandidateSet.default(square_gallery(), seed=0, random_count=5)
+    assert c.points[:8] == plain.points[:8]
+    assert list(c.points[10:]) == [p for p in plain.points[8:] if p not in c.points[8:10]]
+
+
 def test_candidate_from_points_validates_membership():
     g = square_gallery()
     c = CandidateSet.from_points(g, [pt((1, 1)), pt((0, 0))])
@@ -233,6 +249,19 @@ def test_classic_donut_enumerates_and_finds_violations():
     assert r.classification == "VACUOUS"
     assert r.violating_tuples
     assert r.conclusion_verdict == "fails"
+
+
+def test_classic_donut_corner_candidates_are_a_violation_candidate():
+    """Three candidates at one corner of the donut see a common point, so the
+    hypothesis holds on them, while the hole's shadow empties the kernel: a
+    certified failure over every tuple, the one classification that asks
+    for a closer look."""
+    g = donut_gallery()
+    r = check_classic(g, CandidateSet.from_points(g, [(0, 0), (1, 0), (0, 1)]))
+    assert (r.hypothesis_verdict, r.conclusion_verdict) == ("holds-on-candidates", "fails")
+    assert r.classification == "THEOREM_VIOLATION_CANDIDATE"
+    assert r.qualifiers == ("hole-shadow",)
+    assert (r.coverage.checked, r.coverage.total) == (1, 1)
 
 
 def test_classic_pinched_chain_consistent():

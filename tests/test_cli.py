@@ -260,3 +260,61 @@ def test_check_empty_kernel_quantitative_takes_the_helly_triple(tmp_path):
         assert det["classification"] == "VACUOUS"
         assert det["coverage"]["fast_path"] == "helly-edge-triple"
         assert len(det["violating_tuples"]) == 1 and len(det["violating_tuples"][0]) == 3
+
+
+def _donut_file(tmp_path, classes=()):
+    donut = Gallery(
+        PolygonWithHoles([(0, 0), (6, 0), (6, 6), (0, 6)], [[(2, 2), (2, 4), (4, 4), (4, 2)]]),
+        classes=classes, name="donut",
+    )
+    path = tmp_path / "donut.json"
+    path.write_text(docio.dumps(docio.gallery_to_document(donut)), encoding="utf-8")
+    return str(path)
+
+
+CORNER = [(0, 0), (1, 0), (0, 1)]
+
+
+def test_check_violation_candidate_exits_3(tmp_path):
+    """Three corner candidates that see a common point, in a gallery whose
+    kernel the hole empties: the report is a THEOREM_VIOLATION_CANDIDATE and
+    `check` says so with exit code 3."""
+    cand, out = tmp_path / "corner.json", tmp_path / "report.json"
+    cand.write_text(json.dumps([[str(x), str(y)] for x, y in CORNER]), encoding="utf-8")
+    assert main(["check", _donut_file(tmp_path), "--candidates", str(cand), "-o", str(out)]) == 3
+    det = json.loads(out.read_text())["deterministic"]
+    assert det["classification"] == "THEOREM_VIOLATION_CANDIDATE"
+    assert (det["hypothesis_verdict"], det["conclusion_verdict"]) == ("holds-on-candidates", "fails")
+    assert det["qualifiers"] == ["hole-shadow"]
+    assert (det["coverage"]["checked"], det["coverage"]["total"]) == (1, 1)
+
+
+def test_check_class_candidates_match_a_candidate_file(tmp_path):
+    gallery = _donut_file(tmp_path, classes={"corner": CORNER})
+    cand = tmp_path / "corner.json"
+    cand.write_text(json.dumps([[str(x), str(y)] for x, y in CORNER]), encoding="utf-8")
+    by_class, by_file = tmp_path / "class.json", tmp_path / "file.json"
+    assert main(["check", gallery, "--candidates", "class:corner", "-o", str(by_class)]) == 3
+    assert main(["check", gallery, "--candidates", str(cand), "-o", str(by_file)]) == 3
+    assert by_class.read_bytes() == by_file.read_bytes()
+
+
+def test_check_colorful_general_with_chosen_classes(tmp_path):
+    """Only the named classes are read: a x b is two tuples, a x b x c four."""
+    gallery = _donut_file(tmp_path, classes={"a": [(0, 0), (1, 0)], "b": [(6, 6)], "c": [(3, 1), (5, 5)]})
+    for classes, total in (["--classes", "a,b"], 2), ([], 4):
+        out = tmp_path / "report.json"
+        assert main(["check", gallery, "--theorem", "colorful-general", *classes, "-o", str(out)]) == 0
+        det = json.loads(out.read_text())["deterministic"]
+        assert (det["theorem"], det["gallery"]) == ("colorful-general", "donut")
+        assert det["coverage"]["total"] == total
+
+
+@pytest.mark.parametrize("argv", [
+    ["--candidates", "class:nope"],
+    ["--theorem", "colorful-general", "--classes", "a,nope"],
+], ids=["candidates", "classes"])
+def test_check_unknown_class_exits_2(argv, tmp_path, capsys):
+    gallery = _donut_file(tmp_path, classes={"a": [(0, 0)]})
+    assert main(["check", gallery, *argv, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: gallery has no class 'nope'\n"
