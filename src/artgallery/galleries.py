@@ -694,7 +694,12 @@ def gen_star(seed: int, n_vertices: int) -> SimplePolygon:
 
 
 def gen_simple(seed: int, n_vertices: int) -> SimplePolygon:
-    """Random simple polygon via 2-opt untangling of a random tour."""
+    """Random simple polygon via 2-opt untangling of a random tour.
+
+    Each round reverses the ring between the first pair of meeting edges that
+    `_first_crossing` finds, so the move order, and with it the polygon, is
+    fixed by the seed. After the first round `_first_crossing` is handed the
+    last move and rescans only the rows that move can have changed."""
     if n_vertices < 3:
         raise ValueError("need at least 3 vertices")
     attempt = 0
@@ -710,8 +715,10 @@ def gen_simple(seed: int, n_vertices: int) -> SimplePolygon:
             continue
         rng.shuffle(pts)
         ring = pts[:]
+        hs = [homogeneous(p) for p in ring]
+        crossing = None
         for _ in range(SIMPLE_MAX_ROUNDS):
-            crossing = _first_crossing(ring)
+            crossing = _first_crossing(hs, crossing)
             if crossing is None:
                 poly = SimplePolygon(tuple(ring))
                 if poly.signed_area == 0:
@@ -721,16 +728,27 @@ def gen_simple(seed: int, n_vertices: int) -> SimplePolygon:
                 return poly.ccw()
             i, j = crossing
             ring[i + 1 : j + 1] = reversed(ring[i + 1 : j + 1])
+            hs[i + 1 : j + 1] = reversed(hs[i + 1 : j + 1])
         attempt += 1
 
 
-def _first_crossing(ring) -> Optional[Tuple[int, int]]:
-    """First pair (i, j), i < j, of non-adjacent ring edges that meet."""
-    hs = [homogeneous(p) for p in ring]
+def _first_crossing(hs, last) -> Optional[Tuple[int, int]]:
+    """First pair (i, j), i < j, of non-adjacent edges of the ring of
+    homogeneous images hs that meet, in row-major order.
+
+    `last` is None, or the pair (i0, j0) whose 2-opt move (reversing
+    hs[i0+1..j0]) made this ring from one where it was the first pair. Then
+    rows i < i0 are tested against the new edges i0 and j0 only. No pair of
+    rows before i0 met before the move. Apart from edges i0 and j0, the move
+    only keeps edges or reverses their order and direction, so such a row
+    meets the same segments at the same adjacency as before, and none of them.
+    Rows from i0 on are scanned in full. The first pair is therefore the one
+    a full scan finds, and the move order does not change."""
     n = len(hs)
+    start = 0 if last is None else last[0]
     for i in range(n):
         a, b = hs[i], hs[(i + 1) % n]
-        for j in range(i + 1, n):
+        for j in range(i + 1, n) if i >= start else last:
             if (j + 1) % n == i or (i + 1) % n == j:
                 continue
             if segments_meet(a, b, hs[j], hs[(j + 1) % n]):

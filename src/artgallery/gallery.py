@@ -41,7 +41,14 @@ from functools import cached_property
 from typing import Mapping, Tuple
 
 from artgallery.rational import Q
-from artgallery.geom.primitives import Point2, Segment2, homogeneous, on_segment, pt
+from artgallery.geom.primitives import (
+    Point2,
+    Segment2,
+    from_homogeneous,
+    homogeneous,
+    on_segment,
+    pt,
+)
 from artgallery.geom.convex import ConvexPolygon, convex_intersect
 from artgallery.geom.polygon import (
     PolygonWithHoles,
@@ -66,11 +73,25 @@ def _midpoint(a, b) -> Point2:
     return Point2((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
 
 
-def _grid_point(rng, x0, y0, x1, y1) -> Point2:
-    """Seeded point of the box [x0, x1] x [y0, y1] on a 2^-20 grid."""
-    tx = Q(rng.randrange(0, 2**20), 2**20)
-    ty = Q(rng.randrange(0, 2**20), 2**20)
-    return Point2(x0 + tx * (x1 - x0), y0 + ty * (y1 - y0))
+def _grid(x0, y0, x1, y1):
+    """The 2^-20 grid of the box [x0, x1] x [y0, y1] in integers: the grid
+    point (x0 + rx/2^20 (x1 - x0), y0 + ry/2^20 (y1 - y0)) has the
+    homogeneous image (bx + rx*sx, by + ry*sy, w), so a draw is located
+    before, or without, building its rational point."""
+    (bx, sx, xd), (by, sy, yd) = _grid_axis(x0, x1), _grid_axis(y0, y1)
+    return bx * yd, sx * yd, by * xd, sy * xd, xd * yd
+
+
+def _grid_axis(lo, hi):
+    """(base, step, den) with lo + r/2^20 (hi - lo) = (base + r*step) / den."""
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return ln * hd * 2**20, hn * ld - ln * hd, ld * hd * 2**20
+
+
+def _grid_draw(rng, grid):
+    """Homogeneous image of a seeded point of `grid` (see `_grid`)."""
+    bx, sx, by, sy, w = grid
+    return bx + rng.randrange(0, 2**20) * sx, by + rng.randrange(0, 2**20) * sy, w
 
 
 def _bbox(points):
@@ -149,13 +170,13 @@ class Gallery(GalleryKind):
     def random_points(self, rng, count: int):
         out = []
         rings = [[homogeneous(v) for v in ring] for ring in self.polygon.rings()]
-        box = _bbox([v for ring in self.polygon.rings() for v in ring])
+        grid = _grid(*_bbox([v for ring in self.polygon.rings() for v in ring]))
         budget = 500 * count
         while len(out) < count and budget > 0:
             budget -= 1
-            p = _grid_point(rng, *box)
-            if locate_in_polygon_image(homogeneous(p), rings) == "in":
-                out.append(p)
+            hp = _grid_draw(rng, grid)
+            if locate_in_polygon_image(hp, rings) == "in":
+                out.append(from_homogeneous(hp))
         return out
 
     def common_visibility(self, points, cache=None):
@@ -328,12 +349,12 @@ class PinchedGallery(GalleryKind):
 
     def random_points(self, rng, count: int):
         out = []
-        boxes = [_bbox(comp.vertices) for comp in self.components]
+        grids = [_grid(*_bbox(comp.vertices)) for comp in self.components]
         budget = 200 * count
         while len(out) < count and budget > 0:
             budget -= 1
             k = rng.randrange(len(self.components))
-            p = _grid_point(rng, *boxes[k])
+            p = from_homogeneous(_grid_draw(rng, grids[k]))
             if self.components[k].contains(p):
                 out.append(p)
         return out

@@ -43,6 +43,7 @@ integer line meet, normalised once.
 
 from __future__ import annotations
 
+import math
 from typing import List, NamedTuple, Tuple
 
 from artgallery.rational import rat
@@ -494,15 +495,19 @@ def skeletal_visibility(skel: SkeletalGallery, x) -> Tuple[Segment2, ...]:
     x = pt(x)
     if not skel.contains(x):
         raise NotInGallery(f"viewpoint {x} not in gallery")
-    lines = {}  # slope -> (the line's first segment, the gallery segments on it)
+    # a line through x is fixed by its direction: key it by the primitive
+    # integer direction, up to sign -> (the first segment's images and
+    # direction, the gallery segments on the line)
+    lines = {}
     for s in skel.segments:
         if orient(s.a, s.b, x) == 0:
-            d = (s.b[0] - s.a[0], s.b[1] - s.a[1])
-            lines.setdefault(d[1] / d[0] if d[0] else None, (s, []))[1].append(s)
+            ha, hb = homogeneous(s.a), homogeneous(s.b)
+            dx, dy = _direction(ha, hb)
+            g = math.gcd(dx, dy) if dx > 0 else -math.gcd(dx, dy)
+            key = (dx // g, dy // g) if dx else None
+            lines.setdefault(key, (ha, hb, dx, dy, []))[4].append(s)
     runs = []
-    for first, segs in lines.values():
-        ha, hb = homogeneous(first.a), homogeneous(first.b)
-        dx, dy = _direction(ha, hb)
+    for ha, hb, dx, dy, segs in lines.values():
         for lo, hi, p, q in _runs(_chords(segs, ha, hb, ())):
             if lo <= x[0] * dx + x[1] * dy <= hi:
                 runs.append(Segment2(p, q))

@@ -23,6 +23,10 @@ They share nothing with the library but `Point2`, `pt`, `ConvexPolygon`'s
 canonical form and `HalfPlane.contains` (a rational comparison), so a
 mismatch points at the integer code.
 
+`grid_point` is the seeded 2^-20 grid point of a box that
+`Gallery.random_points` built by rational arithmetic for every draw, before
+it located each draw by its integer image and built only the accepted ones.
+
 Two more are the disc and ellipse certificates that the exact per-edge
 inequalities of `inscribe` replaced. Both are one-way: a True says the body
 lies in the shape (up to the sampled margin, for the ellipse), a False says
@@ -175,6 +179,13 @@ def locate_in_ring(p, ring) -> str:
             if xint > px:
                 crossings += 1
     return "in" if crossings % 2 == 1 else "out"
+
+
+def grid_point(rng, x0, y0, x1, y1) -> Point2:
+    """Seeded point of the box [x0, x1] x [y0, y1] on a 2^-20 grid."""
+    tx = rat(rng.randrange(0, 2**20)) / 2**20
+    ty = rat(rng.randrange(0, 2**20)) / 2**20
+    return Point2(x0 + tx * (x1 - x0), y0 + ty * (y1 - y0))
 
 
 def convex_contains(poly: ConvexPolygon, p) -> bool:

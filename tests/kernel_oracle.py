@@ -15,13 +15,17 @@ It still splits its ring at repeated points with `_split_pinched`, the
 splitter `visibility` carried before it built one ring per viewpoint, so a
 ring that pinched would show up as a difference.
 
+`first_crossing` is the 2-opt crossing search `galleries.gen_simple` ran
+before it rescanned only the rows its last move changed: every pair of
+non-adjacent edges, in row-major order, after every move.
+
 `_trace`, `_merge` and `_cover` are the skeletal and pinched interval cover
 `visibility` ran before it cut each convex piece with the convex clipper:
 the piece's trace on a line is a t-interval of rational ray parameters, each
 a `Fraction` division, with the piece's type picking the formula.
 """
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import exact_oracle
 
@@ -36,7 +40,16 @@ from artgallery.geom.polygon import (
     region_bbox,
     ring_signed_area,
 )
-from artgallery.geom.primitives import Point2, Segment2, orient, pt, same_direction, sort_directions
+from artgallery.geom.primitives import (
+    Point2,
+    Segment2,
+    homogeneous,
+    orient,
+    pt,
+    same_direction,
+    segments_meet,
+    sort_directions,
+)
 from artgallery.kernel import kernel_halfplanes
 from artgallery.rational import rat
 from artgallery.visibility import NotInGallery, segment_in_polygon, visibility_polygon
@@ -329,3 +342,17 @@ def _cover(pieces, a, b):
     a + t*(b - a); for a == b, the trace of the point a, at t = 0."""
     d, hi = ((b[0] - a[0], b[1] - a[1]), 1) if a != b else ((1, 0), 0)
     return _merge(iv for piece in pieces if (iv := _trace(piece, a, d, 0, hi)) is not None)
+
+
+def first_crossing(ring) -> Optional[Tuple[int, int]]:
+    """First pair (i, j), i < j, of non-adjacent ring edges that meet."""
+    hs = [homogeneous(p) for p in ring]
+    n = len(hs)
+    for i in range(n):
+        a, b = hs[i], hs[(i + 1) % n]
+        for j in range(i + 1, n):
+            if (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            if segments_meet(a, b, hs[j], hs[(j + 1) % n]):
+                return i, j
+    return None

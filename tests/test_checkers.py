@@ -27,7 +27,7 @@ from artgallery.galleries import gen_claim22, gen_empty_kernel, gen_fig1, gen_sp
 from artgallery.galleries import gen_simple
 from artgallery.geom.convex import ConvexPolygon, HalfPlane
 from artgallery.geom.polygon import PolygonWithHoles
-from artgallery.geom.primitives import pt
+from artgallery.geom.primitives import on_segment, pt
 from artgallery.inscribe import PolytopeNormBall
 from artgallery.kernel import halfplane_triple_empty
 from artgallery.rational import rat
@@ -188,6 +188,29 @@ def _empty_kernel_galleries():
     return out
 
 
+def _edge_strictly_holding(poly, p):
+    """Index of the outer edge whose open segment holds p, or None."""
+    vs = poly.outer.vertices
+    for i in range(len(vs)):
+        a, b = vs[i], vs[(i + 1) % len(vs)]
+        if p not in (a, b) and on_segment(p, a, b):
+            return i
+    return None
+
+
+def assert_helly_certificate(g, cert):
+    """What the checkers take on trust from the certificate: each point lies
+    strictly inside its own outer edge, those edges' inner half-planes miss
+    each other, and, as a consequence, the exact common visibility is empty."""
+    edges = [_edge_strictly_holding(g.polygon, p) for p in cert]
+    assert None not in edges and len(set(edges)) == 3, g.name
+    vs = g.polygon.outer.vertices
+    lines = [HalfPlane.left_of_edge(vs[i], vs[(i + 1) % len(vs)]).line() for i in edges]
+    assert halfplane_triple_empty(*lines), g.name
+    assert g.common_visibility(cert).is_empty(), g.name
+    assert g.common_visibility_is_empty(cert), g.name
+
+
 def test_kernel_fails_witness_sees_no_common_point():
     # Helly: three edges whose inner half-planes miss each other, and an
     # edge midpoint sees only into its edge's inner half-plane
@@ -197,8 +220,18 @@ def test_kernel_fails_witness_sees_no_common_point():
         assert isinstance(witness, tuple) and len(witness) == 3
         tags = dict(g.structural_points())
         assert all(tags[p] == "edge-midpoint" for p in witness)
-        assert g.common_visibility(witness).is_empty()
-        assert g.common_visibility_is_empty(witness)
+        assert_helly_certificate(g, witness)
+
+
+@pytest.mark.parametrize("seeds", [range(0, 12), range(12, 24), range(1000, 1024)])
+def test_helly_certificate_at_fuzz_size(seeds):
+    """The certificate on the galleries of the fuzz workload's shape:
+    `gen_empty_kernel` at 24 vertices."""
+    for seed in seeds:
+        g = Gallery(gen_empty_kernel(seed, 24), name=f"ek24-{seed}")
+        verdict, cert, _ = kernel_status(g)
+        assert verdict == "fails" and len(cert) == 3
+        assert_helly_certificate(g, cert)
 
 
 # -- classic checker ----------------------------------------------------------

@@ -3,12 +3,18 @@
 import hashlib
 import json
 import math
+import random
 
 import pytest
+
+import kernel_oracle
 
 from artgallery import docio
 from artgallery.gallery import Gallery
 from artgallery.galleries import (
+    SIMPLE_MAX_ROUNDS,
+    _first_crossing,
+    _rand_point,
     cone_halfplanes,
     disc_polygon,
     estimate_m,
@@ -22,7 +28,7 @@ from artgallery.galleries import (
     gen_star,
 )
 from artgallery.geom.polygon import PolygonWithHoles, ring_is_simple
-from artgallery.geom.primitives import pt
+from artgallery.geom.primitives import homogeneous, pt
 from artgallery.kernel import kernel_simple
 from artgallery.rational import rat
 from artgallery.visibility import skeletal_sees
@@ -127,6 +133,49 @@ def test_random_polygon_pins():
     assert _vertex_digest(gen_empty_kernel(seed, 24) for seed in range(6)) == (
         "866c71d3abd9ebd67744edffe446a8a3043c5d3b8c908f4fa7854dd1aad82b0d"
     )
+
+
+def test_empty_kernel_polygon_pin_at_fuzz_size():
+    """The empty-kernel polygons at the fuzz workload's size, seeds 0-9,
+    vertex for vertex as the full 2-opt rescan made them."""
+    assert _vertex_digest(gen_empty_kernel(seed, 24) for seed in range(10)) == (
+        "b35df12e4c7d9806af5785357b1add5d24bcc4cb6747a43648683a6b6a3d3b9a"
+    )
+
+
+def _tours(n):
+    """Seeded tours of n points: distinct 2-opt inputs as `gen_simple` draws
+    them, and points on a 4 x 4 grid, whose collinear and touching edges
+    reach the closed-segment cases."""
+    for seed in range(12):
+        rng = random.Random(f"tour:{n}:{seed}")
+        pts = list(dict.fromkeys(_rand_point(rng) for _ in range(n)))
+        rng.shuffle(pts)
+        yield pts
+        grid = list(dict.fromkeys(pt((rng.randrange(4), rng.randrange(4))) for _ in range(n)))
+        if len(grid) >= 4:
+            yield grid
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 12, 24, 40])
+def test_first_crossing_rescan_matches_full_scan(n):
+    """At every 2-opt move, the rescan of the rows the last move changed
+    returns the pair the full rescan of every pair returns."""
+    short_rows = 0
+    for ring in _tours(n):
+        hs = [homogeneous(p) for p in ring]
+        crossing = None
+        for _ in range(SIMPLE_MAX_ROUNDS):
+            expected = kernel_oracle.first_crossing(ring)
+            short_rows += crossing is not None and crossing[0] > 0
+            crossing = _first_crossing(hs, crossing)
+            assert crossing == expected
+            if crossing is None:
+                break
+            i, j = crossing
+            ring[i + 1 : j + 1] = reversed(ring[i + 1 : j + 1])
+            hs[i + 1 : j + 1] = reversed(hs[i + 1 : j + 1])
+    assert short_rows > 0
 
 
 def test_disc_polygon_modes():

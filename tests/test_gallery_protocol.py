@@ -5,14 +5,17 @@ cache, skeletal kernels, and exact skeletal witness documents."""
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
+
+import exact_oracle
 
 from artgallery import docio, visibility
 from artgallery.checkers import CandidateSet, CheckConfig, check_colorful_general, check_quantitative
 from artgallery.gallery import Gallery, NotAreal, SkeletalGallery, ViewCache
-from artgallery.galleries import gen_claim22, gen_fig1, gen_spider, gen_star
-from artgallery.geom.polygon import PolygonWithHoles
+from artgallery.galleries import gen_claim22, gen_empty_kernel, gen_fig1, gen_spider, gen_star
+from artgallery.geom.polygon import PolygonWithHoles, locate_in_polygon
 from artgallery.rational import fmt, rat
 from artgallery.visibility import (
     common_visibility,
@@ -55,6 +58,60 @@ def test_default_candidates_are_pinned(name):
     c = CandidateSet.default(GALLERIES[name](), seed=3, random_count=20)
     text = json.dumps([[fmt(p[0]), fmt(p[1]), t] for p, t in zip(c.points, c.tags)])
     assert (len(c), hashlib.sha256(text.encode()).hexdigest()) == CANDIDATE_PINS[name]
+
+
+def reference_random_points(g, rng, count):
+    """`random_points` as it was: a rational grid point for every draw, then
+    exact membership ("in" for a polygonal gallery, any component for a
+    pinched one)."""
+    if isinstance(g, Gallery):
+        box, budget = _bbox([v for ring in g.polygon.rings() for v in ring]), 500 * count
+
+        def draw():
+            p = exact_oracle.grid_point(rng, *box)
+            return p, locate_in_polygon(p, g.polygon) == "in"
+    else:
+        boxes, budget = [_bbox(c.vertices) for c in g.components], 200 * count
+
+        def draw():
+            k = rng.randrange(len(boxes))
+            p = exact_oracle.grid_point(rng, *boxes[k])
+            return p, g.components[k].contains(p)
+    out = []
+    while len(out) < count and budget > 0:
+        budget -= 1
+        p, inside = draw()
+        if inside:
+            out.append(p)
+    return out
+
+
+def _bbox(points):
+    return (min(p[0] for p in points), min(p[1] for p in points),
+            max(p[0] for p in points), max(p[1] for p in points))
+
+
+RANDOM_POINT_GALLERIES = {
+    "donut": donut,
+    "star": lambda: Gallery(gen_star(0, 12)),
+    "empty-kernel-24": lambda: Gallery(gen_empty_kernel(1, 24)),
+    "thin-sliver": lambda: Gallery(
+        [(rat("-3/7"), rat("-1/3")), (rat("5/11"), rat("-1/3")), (rat("-2/9"), rat("1/1000"))]
+    ),
+    "fig1": gen_fig1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_POINT_GALLERIES))
+def test_random_points_match_rational_draws(name):
+    """Locating each draw by its integer image and building only the
+    accepted points keeps the draws, the points and the rng's state."""
+    g = RANDOM_POINT_GALLERIES[name]()
+    for seed in range(4):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        points = g.random_points(rng, 30)
+        assert points == reference_random_points(g, ref_rng, 30)
+        assert len(points) == 30 and rng.getstate() == ref_rng.getstate()
 
 
 # Every kind honours the viewpoint cache and a ViewCache's prefix chain, and

@@ -118,6 +118,34 @@ def test_skeletal_visibility_from_arm():
     assert segs == (Segment2(pt((1, 0)), pt((1, 2))),)
 
 
+def test_skeletal_visibility_groups_segments_by_line():
+    """Segments on one line through x form one run, however they are
+    oriented or scaled; the run follows the line's first segment, and the
+    lines keep the order in which their first segments appear."""
+    h = rat(1) / 2
+    sk = SkeletalGallery([
+        ((0, 0), (2, 1)),
+        ((0, 0), (0, 3)),
+        ((4, 2), (-2, -1)),
+        ((0, 0), (-3, 1)),
+        ((0, 5), (0, -1)),
+        ((6, -2), (9, -3)),
+        ((5, 5 * h), (4, 2)),
+        ((0, 0), (1, 0)),
+        ((5, 0), (-2, 0)),
+    ]).validate()
+    assert skeletal_visibility(sk, pt((0, 0))) == (
+        Segment2(pt((-2, -1)), pt((5, 5 * h))),
+        Segment2(pt((0, -1)), pt((0, 5))),
+        Segment2(pt((0, 0)), pt((-3, 1))),
+        Segment2(pt((-2, 0)), pt((5, 0))),
+    )
+    # the line's first segment is the one through (0, 0), pointing to (-3, 1)
+    assert skeletal_visibility(sk, pt((7, -7 * rat(1) / 3))) == (
+        Segment2(pt((9, -3)), pt((6, -2))),
+    )
+
+
 def test_skeletal_common_visibility():
     sk = t_skeleton()
     common = skeletal_common_visibility(sk, [pt((0, 0)), pt((2, 0))])
